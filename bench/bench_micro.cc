@@ -378,7 +378,7 @@ void BM_StoreReads(benchmark::State& state) {
 BENCHMARK(BM_StoreReads)->Arg(0)->Arg(1);
 
 // Uncontended in-flight table round trip: leader Begin + Complete. The
-// coalescer sits on the serial_io miss path, so its fixed cost must stay
+// coalescer sits on every cache-miss path, so its fixed cost must stay
 // negligible next to a pread + decode.
 void BM_ReadCoalescerLeader(benchmark::State& state) {
   exec::ReadCoalescer coalescer;

@@ -215,8 +215,9 @@ class JsonWriter {
 // changes. v1: implicit, unstamped (PRs 2-6). v2: stamped meta fields +
 // prefetch hit/wasted columns and adaptive prefetch series. v3: kernel +
 // io_uring probe meta fields, io-backend series in bench_parallel_engine,
-// hot-neighbor placement section.
-inline constexpr int kBenchSchemaVersion = 3;
+// hot-neighbor placement section. v4: prefetch series and columns
+// dropped; the serial baseline runs on the engine's serial I/O backend.
+inline constexpr int kBenchSchemaVersion = 4;
 
 #ifndef SQP_GIT_DESCRIBE
 #define SQP_GIT_DESCRIBE "unknown"  // set by bench/CMakeLists.txt

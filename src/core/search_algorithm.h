@@ -33,12 +33,6 @@ struct StepResult {
   // Pages to fetch next; the executor delivers them all before the next
   // OnPagesFetched call. Empty together with done=false is illegal.
   std::vector<rstar::PageId> requests;
-  // Pages the algorithm expects to want soon but does not need for this
-  // step, best candidates first (CRSS: the nearest still-intersecting
-  // deferred candidates). Executors may fetch them speculatively on
-  // otherwise idle disks — or ignore them entirely; correctness never
-  // depends on a hint. Empty when done.
-  std::vector<rstar::PageId> prefetch_hints;
   // CPU instructions consumed by the processing that produced this step
   // (the paper's 2N + 3M log M model); charged by the simulator.
   uint64_t cpu_instructions = 0;

@@ -5,12 +5,9 @@
 // When N queries miss the same page at the same time, only the first
 // (the leader) should pay the pread + checksum + decode; the other N-1
 // (followers) should block until the leader publishes the page in the
-// shared cache and then pick it up from there. The engine uses this in
-// serial_io mode, where misses are read on the query threads themselves
-// and concurrent duplicate reads are otherwise unavoidable. (In pooled
-// mode the per-disk FIFO worker serializes duplicate jobs naturally; the
-// engine coalesces there with a second-chance cache probe inside the job
-// instead — see parallel_engine.cc.)
+// shared cache and then pick it up from there. The engine's one cache-miss
+// path (ParallelQueryEngine::FetchBatch) partitions every step's misses
+// this way under every I/O backend.
 //
 // Protocol:
 //   common::Status st;
@@ -54,8 +51,8 @@ class ReadCoalescer {
   // leader for `key` (and owes exactly one Complete); false means another
   // leader's read is in flight — the caller has NOT joined it and is not
   // counted as a coalesced read. Pair with a later BeginOrWait to wait.
-  // The completion-driven backends use this to partition a batch into
-  // pages to submit and pages to pick up after submission.
+  // The engine uses this to partition a step's misses into pages to
+  // submit and pages to pick up after submission.
   bool TryBegin(uint64_t key);
 
   // Leader only: publishes the read's outcome and wakes all followers.

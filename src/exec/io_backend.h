@@ -1,40 +1,31 @@
 // The seam between the execution engine and its I/O machinery.
 //
-// The engine schedules two classes of disk work (docs/EXECUTION.md):
-// demand reads a query is blocked on, and cancellable speculation nobody
-// waits for. How that work reaches the media is a backend choice:
+// The engine hands a backend one kind of work: a demand read batch — the
+// missed pages of one activation step that live on one disk — through
+// SubmitBatchRead, and resumes the waiting traversal from the batch's
+// completion callback. How the batch reaches the media is a backend
+// choice:
 //
+//   * SerialIoBackend ("serial", io_pool.h) — inline on the calling
+//     thread, one blocking read per request: the single-disk-at-a-time
+//     baseline the paper's speedup figures compare against.
 //   * DiskIoPool ("threads", io_pool.h) — one blocking worker thread per
 //     disk, the wall-clock form of the paper's per-spindle FCFS queues.
 //   * UringIoBackend ("uring", uring_backend.h) — a single completion
 //     reactor driving one io_uring shared by all disks, with deep
 //     per-disk in-flight windows and no thread parked per spindle.
 //
-// Both present the same contract: demand work has strict priority over
-// speculation on its spindle, speculative jobs carry a cancel predicate
-// evaluated before the media is touched (cancelled entries are either
-// never submitted or reaped-and-dropped), and the conservation identity
-// speculative_issued == speculative_completed + speculative_cancelled
-// holds once the queues drain. The engine's headline invariant — query
-// answers bit-identical to the sequential executor — holds under every
-// backend, because delivery order is the engine's business, not the
-// backend's.
-//
-// A backend may additionally be *completion-driven* (completion_driven()
-// returns true): the engine then hands it raw byte-level read batches
-// (SubmitBatchRead) and resumes the waiting traversal from the backend's
-// completion context, instead of wrapping the read in a closure executed
-// by a per-disk thread.
+// The engine's headline invariant — query answers bit-identical to the
+// sequential executor — holds under every backend, because delivery order
+// is the engine's business, not the backend's.
 
 #ifndef SQP_EXEC_IO_BACKEND_H_
 #define SQP_EXEC_IO_BACKEND_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "common/check.h"
 #include "common/status.h"
 #include "storage/page_store.h"
 
@@ -44,72 +35,31 @@ class IoBackend {
  public:
   virtual ~IoBackend() = default;
 
-  // Stable identifier for banners, bench metadata and tests: "threads" or
-  // "uring".
+  // Stable identifier for banners, bench metadata and tests: "serial",
+  // "threads" or "uring".
   virtual const char* name() const = 0;
 
   virtual int num_disks() const = 0;
 
-  // Demand-class closure job on `disk`; blocks while the demand queue is
-  // at capacity. Must not be called from a backend worker/reactor thread.
-  virtual void Submit(int disk, std::function<void()> job) = 0;
-
-  // Non-blocking demand variant: false (job dropped, rejection counted)
-  // when the queue is full or the backend is stopping.
-  virtual bool TrySubmit(int disk, std::function<void()> job) = 0;
-
-  // Speculative-class closure job: runs only while `disk` has no demand
-  // work, skipped (counted cancelled) if `cancel` returns true at the
-  // moment it would start or the backend shuts down first. Never blocks;
-  // false on a full speculative queue.
-  virtual bool SubmitSpeculative(int disk, std::function<void()> job,
-                                 std::function<bool()> cancel = nullptr) = 0;
-
-  // True when the backend natively executes byte-level read batches and
-  // invokes completions from its own reactor context (SubmitBatchRead).
-  virtual bool completion_driven() const { return false; }
-
-  // Completion-driven demand path: read every request of the batch (the
-  // backend merges offset-adjacent requests of a disk into single media
-  // accesses, exactly like PageStore::ReadPages), then invoke `done` once
-  // with the batch outcome from the backend's completion context. The
-  // request buffers must stay valid until `done` runs. Blocks the caller
-  // only for backpressure, never for the I/O itself. Only meaningful when
-  // completion_driven(); the base implementation aborts.
+  // Reads every request of the batch (all on `disk`), then invokes `done`
+  // once with the batch outcome — the first error, or OK — from the
+  // backend's completion context (the calling thread for an inline
+  // backend). The request buffers must stay valid until `done` runs.
+  // Blocks the caller only for backpressure and, on an inline backend,
+  // for the I/O itself. Must not be called from a backend thread
+  // (OnWorkerThread); debug builds abort if it is.
   virtual void SubmitBatchRead(int disk,
                                std::vector<storage::ReadRequest> requests,
-                               std::function<void(common::Status)> done) {
-    (void)disk;
-    (void)requests;
-    (void)done;
-    SQP_CHECK(false && "backend is not completion-driven");
-  }
+                               std::function<void(common::Status)> done) = 0;
 
-  // Demand jobs (closures and read batches) completed so far.
+  // Read batches completed so far.
   virtual uint64_t jobs_completed() const = 0;
 
-  // Times a blocking submission stalled for queue space.
+  // Times a submission stalled for queue space.
   virtual uint64_t backpressure_waits() const = 0;
 
-  // Jobs dropped for lack of queue space.
-  virtual uint64_t queue_rejections() const = 0;
-
-  // Speculative-class conservation: once drained,
-  // issued == completed + cancelled.
-  virtual uint64_t speculative_issued() const = 0;
-  virtual uint64_t speculative_completed() const = 0;
-  virtual uint64_t speculative_cancelled() const = 0;
-
-  // Demand jobs queued on `disk` right now (not counting work in flight).
-  virtual size_t demand_queue_depth(int disk) const = 0;
-
-  // True when `disk` has demand work queued or in flight — the engine's
-  // prefetch issue-time gate.
-  virtual bool demand_busy(int disk) const = 0;
-
   // True when the calling thread belongs to this backend (a worker, an
-  // executor, or the completion reactor). Submitting demand work from one
-  // is a contract violation (debug builds abort in Submit).
+  // executor, or the completion reactor).
   virtual bool OnWorkerThread() const = 0;
 };
 

@@ -15,21 +15,41 @@ double NowSeconds() {
 }
 
 // Identifies the pool (if any) whose worker is running on this thread,
-// so Submit can assert it is never called from one — the blocking
-// backpressure path would self-deadlock: the worker would wait for the
-// queue it alone drains.
+// so SubmitBatchRead can assert it is never called from one — the
+// blocking backpressure path would self-deadlock: the worker would wait
+// for the queue it alone drains.
 thread_local const DiskIoPool* tls_worker_pool = nullptr;
 
 }  // namespace
 
-DiskIoPool::DiskIoPool(int num_disks, obs::MetricsRegistry* metrics,
-                       const DiskIoPoolOptions& options) {
+SerialIoBackend::SerialIoBackend(const storage::PageStore* store)
+    : store_(store) {
+  SQP_CHECK(store != nullptr);
+}
+
+void SerialIoBackend::SubmitBatchRead(
+    int disk, std::vector<storage::ReadRequest> requests,
+    std::function<void(common::Status)> done) {
+  SQP_CHECK(disk >= 0 && disk < num_disks());
+  common::Status status;
+  for (const storage::ReadRequest& r : requests) {
+    status = store_->ReadPages(std::span<const storage::ReadRequest>(&r, 1));
+    if (!status.ok()) break;
+  }
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  done(status);
+}
+
+DiskIoPool::DiskIoPool(const storage::PageStore* store,
+                       obs::MetricsRegistry* metrics,
+                       const DiskIoPoolOptions& options)
+    : store_(store) {
+  SQP_CHECK(store != nullptr);
+  const int num_disks = store->num_disks();
   SQP_CHECK(num_disks >= 1);
   SQP_CHECK(options.max_queue_depth >= 1);
-  SQP_CHECK(options.max_speculative_depth >= 1);
   metered_ = metrics != nullptr;
   max_queue_depth_ = options.max_queue_depth;
-  max_speculative_depth_ = options.max_speculative_depth;
   for (int d = 0; d < num_disks; ++d) {
     DiskQueue& q = queues_.emplace_back();
     if (metrics != nullptr) {
@@ -39,12 +59,6 @@ DiskIoPool::DiskIoPool(int num_disks, obs::MetricsRegistry* metrics,
           metrics->GetGauge(obs::WithLabel("sqp_io_queue_depth", "disk", d));
       q.backpressure_total = metrics->GetCounter(
           obs::WithLabel("sqp_io_backpressure_waits_total", "disk", d));
-      q.rejections_total = metrics->GetCounter(
-          obs::WithLabel("sqp_io_queue_rejections_total", "disk", d));
-      q.spec_issued_total = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_issued_total", "disk", d));
-      q.spec_cancelled_total = metrics->GetCounter(
-          obs::WithLabel("sqp_io_speculative_cancelled_total", "disk", d));
       q.wait_seconds = metrics->GetHistogram(
           obs::WithLabel("sqp_io_wait_seconds", "disk", d),
           obs::MetricsRegistry::LatencyBuckets());
@@ -69,15 +83,18 @@ DiskIoPool::~DiskIoPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void DiskIoPool::Submit(int disk, std::function<void()> job) {
+void DiskIoPool::SubmitBatchRead(int disk,
+                                 std::vector<storage::ReadRequest> requests,
+                                 std::function<void(common::Status)> done) {
   SQP_CHECK(disk >= 0 && disk < num_disks());
   // A worker submitting to its own (full) queue waits forever for itself;
   // submitting to a sibling disk can deadlock just as hard once both
   // queues fill. The contract is simply "workers never submit".
   SQP_DCHECK(!OnWorkerThread());
   DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  QueuedJob queued;
-  queued.fn = std::move(job);
+  QueuedBatch queued;
+  queued.requests = std::move(requests);
+  queued.done = std::move(done);
   if (metered_) queued.enqueue_s = NowSeconds();
   std::unique_lock<std::mutex> lock(q.mu);
   SQP_CHECK(!q.stop);
@@ -94,44 +111,6 @@ void DiskIoPool::Submit(int disk, std::function<void()> job) {
   q.jobs.push_back(std::move(queued));
   if (q.queue_depth != nullptr) q.queue_depth->Add(1);
   q.cv.notify_one();
-}
-
-bool DiskIoPool::TrySubmit(int disk, std::function<void()> job) {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  QueuedJob queued;
-  queued.fn = std::move(job);
-  if (metered_) queued.enqueue_s = NowSeconds();
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (q.stop || q.jobs.size() >= max_queue_depth_) {
-    ++q.rejections;
-    if (q.rejections_total != nullptr) q.rejections_total->Add(1);
-    return false;
-  }
-  q.jobs.push_back(std::move(queued));
-  if (q.queue_depth != nullptr) q.queue_depth->Add(1);
-  q.cv.notify_one();
-  return true;
-}
-
-bool DiskIoPool::SubmitSpeculative(int disk, std::function<void()> job,
-                                   std::function<bool()> cancel) {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  QueuedJob queued;
-  queued.fn = std::move(job);
-  queued.cancel = std::move(cancel);
-  std::lock_guard<std::mutex> lock(q.mu);
-  if (q.stop || q.spec_jobs.size() >= max_speculative_depth_) {
-    ++q.rejections;
-    if (q.rejections_total != nullptr) q.rejections_total->Add(1);
-    return false;
-  }
-  ++q.spec_issued;
-  if (q.spec_issued_total != nullptr) q.spec_issued_total->Add(1);
-  q.spec_jobs.push_back(std::move(queued));
-  q.cv.notify_one();
-  return true;
 }
 
 uint64_t DiskIoPool::jobs_completed() const {
@@ -152,131 +131,38 @@ uint64_t DiskIoPool::backpressure_waits() const {
   return total;
 }
 
-uint64_t DiskIoPool::queue_rejections() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.rejections;
-  }
-  return total;
-}
-
-uint64_t DiskIoPool::speculative_issued() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_issued;
-  }
-  return total;
-}
-
-uint64_t DiskIoPool::speculative_completed() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_completed;
-  }
-  return total;
-}
-
-uint64_t DiskIoPool::speculative_cancelled() const {
-  uint64_t total = 0;
-  for (const DiskQueue& q : queues_) {
-    std::lock_guard<std::mutex> lock(q.mu);
-    total += q.spec_cancelled;
-  }
-  return total;
-}
-
-size_t DiskIoPool::demand_queue_depth(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  const DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return q.jobs.size();
-}
-
-bool DiskIoPool::demand_busy(int disk) const {
-  SQP_CHECK(disk >= 0 && disk < num_disks());
-  const DiskQueue& q = queues_[static_cast<size_t>(disk)];
-  std::lock_guard<std::mutex> lock(q.mu);
-  return !q.jobs.empty() || q.demand_active;
-}
-
 bool DiskIoPool::OnWorkerThread() const { return tls_worker_pool == this; }
-
-void DiskIoPool::CancelQueuedSpeculativeLocked(DiskQueue* queue) {
-  while (!queue->spec_jobs.empty()) {
-    queue->spec_jobs.pop_front();
-    ++queue->spec_cancelled;
-    if (queue->spec_cancelled_total != nullptr) {
-      queue->spec_cancelled_total->Add(1);
-    }
-  }
-}
 
 void DiskIoPool::WorkerLoop(DiskQueue* queue) {
   tls_worker_pool = this;
   for (;;) {
-    QueuedJob job;
-    bool speculative = false;
+    QueuedBatch job;
     {
       std::unique_lock<std::mutex> lock(queue->mu);
-      queue->cv.wait(lock, [queue] {
-        return queue->stop || !queue->jobs.empty() ||
-               !queue->spec_jobs.empty();
-      });
-      if (queue->stop) {
-        // Shutdown never pays for queued speculation: cancel it all,
-        // then keep draining demand work.
-        CancelQueuedSpeculativeLocked(queue);
-        if (queue->jobs.empty()) return;  // demand drained too
-      }
-      if (!queue->jobs.empty()) {
-        // Demand strictly first — speculation only runs on an otherwise
-        // idle spindle.
-        job = std::move(queue->jobs.front());
-        queue->jobs.pop_front();
-        queue->demand_active = true;  // cleared after the job runs
-        if (queue->queue_depth != nullptr) queue->queue_depth->Add(-1);
-        queue->space_cv.notify_one();
-      } else {
-        job = std::move(queue->spec_jobs.front());
-        queue->spec_jobs.pop_front();
-        speculative = true;
-      }
-    }
-    if (speculative) {
-      // Last-moment cancellation check, off the queue lock: the target
-      // page typically landed in cache (via a demand read or an earlier
-      // prefetch) while this job waited.
-      if (job.cancel && job.cancel()) {
-        std::lock_guard<std::mutex> lock(queue->mu);
-        ++queue->spec_cancelled;
-        if (queue->spec_cancelled_total != nullptr) {
-          queue->spec_cancelled_total->Add(1);
-        }
-        continue;
-      }
-      job.fn();
-      std::lock_guard<std::mutex> lock(queue->mu);
-      ++queue->spec_completed;
-      continue;
+      queue->cv.wait(lock,
+                     [queue] { return queue->stop || !queue->jobs.empty(); });
+      // Shutdown still drains every queued batch before exiting.
+      if (queue->jobs.empty()) return;
+      job = std::move(queue->jobs.front());
+      queue->jobs.pop_front();
+      if (queue->queue_depth != nullptr) queue->queue_depth->Add(-1);
+      queue->space_cv.notify_one();
     }
     double start_s = 0.0;
     if (metered_) {
       start_s = NowSeconds();
       queue->wait_seconds->Observe(start_s - job.enqueue_s);
     }
-    job.fn();
+    const common::Status status = store_->ReadPages(job.requests);
     if (metered_) {
       queue->service_seconds->Observe(NowSeconds() - start_s);
       queue->jobs_total->Add(1);
     }
     {
       std::lock_guard<std::mutex> lock(queue->mu);
-      queue->demand_active = false;
       ++queue->completed;
     }
+    job.done(status);
   }
 }
 

@@ -12,25 +12,6 @@
 // capacity is accounted in disk pages (a supernode record occupies its
 // span, like on the media).
 //
-// Frames remember their origin: a frame inserted by a speculative
-// prefetch carries a `speculative` mark until the first *demand* access
-// claims it. That transition is the ground truth the adaptive prefetch
-// controller feeds on — each speculatively inserted frame resolves to
-// exactly one of
-//
-//   * a prefetch **hit**   — a demand lookup found it resident (the
-//     speculation saved a blocking read), or
-//   * a prefetch **waste** — it was evicted still unclaimed, or a demand
-//     insert raced it (the demand read happened anyway),
-//
-// giving the shard-local identity
-//   speculative_insertions == prefetch_hits + prefetch_wasted
-//                             + speculative_resident.
-// Speculative traffic stays out of the demand hit/miss statistics
-// entirely (prefetch probes pass demand=false), so the PR 4 conservation
-// identity `hits + misses == page_requests` keeps holding for demand
-// traffic with prefetch enabled.
-//
 // Keys are PHYSICAL LOCATIONS, not PageIds. The tree reuses PageIds after
 // a delete and the durable write path (storage::MutableIndex) moves a
 // surviving PageId to fresh bytes on every commit, so the stable identity
@@ -80,13 +61,6 @@ struct PageCacheStats {
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   size_t resident_pages = 0;
-  // Speculative-origin accounting (see file comment). At any instant:
-  // speculative_insertions == prefetch_hits + prefetch_wasted
-  //                           + speculative_resident.
-  uint64_t speculative_insertions = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
-  size_t speculative_resident = 0;
   // Frames retired by Invalidate()/InvalidateAll() — erased outright, or
   // marked dying and erased on their last Unpin.
   uint64_t invalidations = 0;
@@ -113,37 +87,20 @@ class ShardedPageCache {
   ShardedPageCache& operator=(const ShardedPageCache&) = delete;
 
   // If `key` is resident: pins it, moves it to MRU, and returns the node
-  // (stable until the matching Unpin). Returns nullptr on a miss. This is
-  // a demand access: a hit on a still-speculative frame claims it (clears
-  // the mark, counts a prefetch hit) and, when `prefetched` is non-null,
-  // reports the claim there so the engine can attribute the hit to the
-  // query's outcome.
-  const FlatNode* LookupPinned(uint64_t key, bool* prefetched = nullptr);
+  // (stable until the matching Unpin). Returns nullptr on a miss.
+  const FlatNode* LookupPinned(uint64_t key);
 
   // Like LookupPinned, but does not touch the hit/miss statistics. Used
-  // for the second-chance probe inside disk I/O jobs (read coalescing):
-  // the miss was already counted when the query thread looked the page up,
-  // so counting the probe would double-book the request. Passing a
-  // non-null `prefetched` marks the probe as demand traffic (it claims a
-  // speculative frame exactly like LookupPinned); prefetch jobs pass
-  // nullptr so speculation can never claim its own insertions.
-  const FlatNode* ProbePinned(uint64_t key, bool* prefetched = nullptr);
-
-  // True when `key` is resident right now. Takes no pin, no LRU
-  // promotion, no statistics — the cancellation predicate of queued
-  // speculative I/O jobs (a prefetch whose target already arrived is
-  // pointless).
-  bool Contains(uint64_t key) const;
+  // for the re-probes of read coalescing: the miss was already counted
+  // when the query thread looked the page up, so counting the probe
+  // would double-book the request.
+  const FlatNode* ProbePinned(uint64_t key);
 
   // Makes `key` resident with the given decoded contents and returns it
   // pinned. If another thread inserted `key` first, the existing entry wins
   // (the engine may decode the same missed page twice under contention)
   // and `node` is discarded. `span` is the record's size in disk pages.
-  // `speculative` marks a prefetch insertion (see file comment); a
-  // *demand* insert that races a still-speculative resident frame counts
-  // that frame as prefetch waste — the demand read happened anyway.
-  const FlatNode* InsertPinned(uint64_t key, FlatNode node,
-                               uint32_t span, bool speculative = false);
+  const FlatNode* InsertPinned(uint64_t key, FlatNode node, uint32_t span);
 
   // Releases one pin taken by LookupPinned/InsertPinned.
   void Unpin(uint64_t key);
@@ -170,22 +127,11 @@ class ShardedPageCache {
   size_t capacity_pages() const { return capacity_pages_; }
   int shards() const { return static_cast<int>(shards_.size()); }
 
-  // Lets the engine route the cache's prefetch hit/waste events into its
-  // own registry counters (sqp_engine_prefetch_{hits,wasted}_total) —
-  // the events are only observable here, but they are engine-level
-  // quantities. Either pointer may be null. Call before concurrent use.
-  void SetPrefetchInstruments(obs::Counter* hits, obs::Counter* wasted) {
-    m_prefetch_hits_ = hits;
-    m_prefetch_wasted_ = wasted;
-  }
-
  private:
   struct Frame {
     FlatNode node;
     uint32_t span = 1;
     int pins = 0;
-    // Inserted by a prefetch and not yet claimed by any demand access.
-    bool speculative = false;
     // Invalidated while pinned; erased on the last Unpin, hidden from
     // every lookup until then.
     bool dying = false;
@@ -201,10 +147,6 @@ class ShardedPageCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
-    uint64_t speculative_insertions = 0;
-    uint64_t prefetch_hits = 0;
-    uint64_t prefetch_wasted = 0;
-    size_t speculative_resident = 0;  // frames still marked speculative
     uint64_t invalidations = 0;
   };
 
@@ -215,10 +157,6 @@ class ShardedPageCache {
   const Shard& ShardFor(uint64_t key) const {
     return shards_[static_cast<size_t>(key) % shards_.size()];
   }
-
-  // A demand access touched `f`: if it is still speculative, claim it as
-  // a prefetch hit. Caller holds the shard lock.
-  void ClaimIfSpeculativeLocked(Shard& shard, Frame& f, bool* prefetched);
 
   // Evicts unpinned LRU entries of `shard` until it fits its share.
   // Caller holds shard.mu.
@@ -245,9 +183,6 @@ class ShardedPageCache {
   obs::Counter* m_evictions_ = nullptr;
   obs::Counter* m_pinned_skips_ = nullptr;
   obs::Gauge* m_resident_ = nullptr;
-  // Engine-owned, see SetPrefetchInstruments.
-  obs::Counter* m_prefetch_hits_ = nullptr;
-  obs::Counter* m_prefetch_wasted_ = nullptr;
 };
 
 }  // namespace sqp::exec

@@ -24,25 +24,25 @@ double NowSeconds() {
       .count();
 }
 
-// Completion rendezvous for one activation batch: the query thread blocks
-// until every per-disk job has reported in. One failing disk job records
-// the batch's first error; the others still run to completion (and their
-// fault counters still merge), so the pool's queues always drain.
+// Completion rendezvous for one activation step: the query thread blocks
+// until every read batch it submitted has reported in. One failing batch
+// records the step's first error; the others still run to completion (and
+// their fault counters still merge), so the backend's queues always drain.
 struct BatchSync {
   std::mutex mu;
   std::condition_variable cv;
   int pending = 0;
   common::Status error;
   IoFaultCounters counters;
-  uint64_t coalesced = 0;  // pages found cached by the second-chance probe
-  uint64_t prefetch_hits = 0;  // of those, frames a prefetch put there
 
-  void Done(const common::Status& status, const IoFaultCounters& job,
-            uint64_t job_coalesced, uint64_t job_prefetch_hits) {
+  void Add() {
     std::lock_guard<std::mutex> lock(mu);
-    counters.Add(job);
-    coalesced += job_coalesced;
-    prefetch_hits += job_prefetch_hits;
+    ++pending;
+  }
+
+  void Done(const common::Status& status, const IoFaultCounters& batch) {
+    std::lock_guard<std::mutex> lock(mu);
+    counters.Add(batch);
     if (error.ok() && !status.ok()) error = status;
     if (--pending == 0) cv.notify_one();
   }
@@ -88,13 +88,6 @@ ParallelQueryEngine::CreateMutable(storage::MutableIndex* index,
   if (options.query_threads < 1) {
     return common::Status::InvalidArgument("query_threads must be >= 1");
   }
-  EngineOptions opts = options;
-  // Prefetch hints name pages of one traversal's snapshot; issuing them
-  // against the live page map could read a location the next commit
-  // supersedes. Off until speculation is snapshot-aware.
-  opts.prefetch_budget = 0;
-  opts.prefetch_adaptive = false;
-
   // Point-in-time layout copy: the reader only uses it for the disk
   // count, page size and tree config, all immutable across commits AND
   // across generation flips (a checkpoint folds the same index into a
@@ -108,11 +101,11 @@ ParallelQueryEngine::CreateMutable(storage::MutableIndex* index,
   // generation flips: the reader captures this one pointer for its
   // lifetime, and a checkpoint retargets the facade (under the writer
   // lock, epoch gate drained) instead of invalidating the pointer.
-  auto reader = StoredIndexReader::OpenWithLayout(index->data_store(),
-                                                 std::move(boot), opts.retry);
+  auto reader = StoredIndexReader::OpenWithLayout(
+      index->data_store(), std::move(boot), options.retry);
   if (!reader.ok()) return reader.status();
   auto engine = std::unique_ptr<ParallelQueryEngine>(
-      new ParallelQueryEngine(index->index(), std::move(*reader), opts));
+      new ParallelQueryEngine(index->index(), std::move(*reader), options));
   engine->mindex_ = index;
   // Retire superseded frames on every commit. The callback runs under the
   // index's writer lock; the cache never calls back into the index, so
@@ -154,14 +147,6 @@ ParallelQueryEngine::ParallelQueryEngine(
         metrics_->GetCounter("sqp_engine_pages_fetched_total");
     instr_.coalesced =
         metrics_->GetCounter("sqp_engine_coalesced_reads_total");
-    instr_.prefetch_issued =
-        metrics_->GetCounter("sqp_engine_prefetch_issued_total");
-    instr_.prefetch_hits =
-        metrics_->GetCounter("sqp_engine_prefetch_hits_total");
-    instr_.prefetch_wasted =
-        metrics_->GetCounter("sqp_engine_prefetch_wasted_total");
-    instr_.prefetch_pages_read =
-        metrics_->GetCounter("sqp_engine_prefetch_pages_read_total");
     instr_.deadline_exceeded =
         metrics_->GetCounter("sqp_engine_deadline_exceeded_total");
     instr_.cancelled = metrics_->GetCounter("sqp_engine_cancelled_total");
@@ -181,47 +166,24 @@ ParallelQueryEngine::ParallelQueryEngine(
   cache_options.capacity_pages = options.cache_pages;
   cache_options.shards = options.cache_shards;
   cache_ = std::make_unique<ShardedPageCache>(cache_options, metrics_);
-  // Prefetch hit/waste events are only observable inside the cache, but
-  // they are engine-level quantities; route them into our counters.
-  cache_->SetPrefetchInstruments(instr_.prefetch_hits,
-                                 instr_.prefetch_wasted);
-  if (options.io_backend == IoBackendKind::kUring) {
-    if (options.serial_io) {
-      io_fallback_reason_ = "serial_io mode reads on the query thread";
+  if (options.io_backend == IoBackendKind::kSerial) {
+    io_pool_ = std::make_unique<SerialIoBackend>(reader_->store());
+  } else if (options.io_backend == IoBackendKind::kUring) {
+    UringBackendOptions uring_options;
+    uring_options.max_queue_depth = options.io_queue_depth;
+    auto uring =
+        UringIoBackend::Create(reader_->store(), metrics_, uring_options);
+    if (uring.ok()) {
+      io_pool_ = std::move(*uring);
     } else {
-      UringBackendOptions uring_options;
-      uring_options.max_queue_depth = options.io_queue_depth;
-      auto uring =
-          UringIoBackend::Create(reader_->store(), metrics_, uring_options);
-      if (uring.ok()) {
-        io_pool_ = std::move(*uring);
-      } else {
-        io_fallback_reason_ = uring.status().message();
-      }
+      io_fallback_reason_ = uring.status().message();
     }
   }
   if (io_pool_ == nullptr) {
     DiskIoPoolOptions pool_options;
     pool_options.max_queue_depth = options.io_queue_depth;
-    io_pool_ = std::make_unique<DiskIoPool>(reader_->num_disks(), metrics_,
+    io_pool_ = std::make_unique<DiskIoPool>(reader_->store(), metrics_,
                                             pool_options);
-  }
-  if (options.prefetch_adaptive && !options.serial_io) {
-    AdaptivePrefetchController::Options ctl_options;
-    // At most one speculative read per spindle beyond demand work.
-    ctl_options.max_budget = reader_->num_disks();
-    prefetch_ctl_ = std::make_unique<AdaptivePrefetchController>(
-        ctl_options, [this] {
-          AdaptivePrefetchController::Signals s;
-          const PageCacheStats cs = cache_->GetStats();
-          s.issued = io_pool_->speculative_issued();
-          s.hits = cs.prefetch_hits;
-          s.wasted = cs.prefetch_wasted +
-                     prefetch_wasted_extra_.load(std::memory_order_relaxed);
-          s.evictions = cs.evictions;
-          s.insertions = cs.insertions;
-          return s;
-        });
   }
 }
 
@@ -232,12 +194,9 @@ ParallelQueryEngine::~ParallelQueryEngine() {
 }
 
 common::Status ParallelQueryEngine::FetchBatch(
-    const std::vector<rstar::PageId>& ids,
-    const std::vector<rstar::PageId>& prefetch_hints,
-    const storage::IndexLayout& layout,
+    const std::vector<rstar::PageId>& ids, const storage::IndexLayout& layout,
     std::vector<const FlatNode*>* slots, std::vector<uint64_t>* keys,
-    QueryOutcome* outcome, obs::TraceSpan* span,
-    const std::shared_ptr<PrefetchTally>& tally) {
+    QueryOutcome* outcome, obs::TraceSpan* span) {
   slots->assign(ids.size(), nullptr);
   keys->assign(ids.size(), 0);
   // Resolve every PageId against the traversal's snapshot up front: the
@@ -253,434 +212,160 @@ common::Status ParallelQueryEngine::FetchBatch(
     locs[i] = layout.pages[ids[i]];
     (*keys)[i] = storage::PageLocationKey(locs[i]);
   }
-  // Lazily sized so a fully cached step leaves pages_per_disk empty.
-  auto add_disk_pages = [this, span](int disk, uint32_t pages) {
-    if (span == nullptr) return;
-    if (span->pages_per_disk.empty()) {
-      span->pages_per_disk.assign(
-          static_cast<size_t>(reader_->num_disks()), 0);
-    }
-    span->pages_per_disk[static_cast<size_t>(disk)] += pages;
-  };
 
   // Cache pass. Misses are grouped per disk, mirroring the declustering
-  // assignment: each group becomes one job on that disk's worker.
+  // assignment: each group becomes one read batch on that disk.
   std::map<int, std::vector<size_t>> misses_by_disk;
   for (size_t i = 0; i < ids.size(); ++i) {
-    bool prefetched = false;
-    if (const FlatNode* node =
-            cache_->LookupPinned((*keys)[i], &prefetched)) {
+    if (const FlatNode* node = cache_->LookupPinned((*keys)[i])) {
       (*slots)[i] = node;
       ++outcome->cache_hits;
-      if (prefetched) ++outcome->prefetch_hits;
       if (span != nullptr) ++span->cache_hits;
       continue;
     }
     ++outcome->cache_misses;
-    if (span != nullptr) ++span->cache_misses;
-    add_disk_pages(locs[i].disk, locs[i].span);
+    if (span != nullptr) {
+      ++span->cache_misses;
+      // Lazily sized so a fully cached step leaves pages_per_disk empty.
+      if (span->pages_per_disk.empty()) {
+        span->pages_per_disk.assign(
+            static_cast<size_t>(reader_->num_disks()), 0);
+      }
+      span->pages_per_disk[static_cast<size_t>(locs[i].disk)] += locs[i].span;
+    }
     misses_by_disk[locs[i].disk].push_back(i);
   }
+  if (misses_by_disk.empty()) return common::Status::OK();
 
-  if (options_.serial_io) {
-    // Baseline mode: every missed page is one blocking read on this
-    // thread — no disk-level overlap at all. Concurrent queries missing
-    // the same page here would duplicate the pread + decode, so reads go
-    // through the in-flight table: one leader reads, followers wait and
-    // pick the page up from the cache.
-    IoFaultCounters counters;
-    common::Status failure;
-    for (auto& [disk, slot_indices] : misses_by_disk) {
-      for (size_t i : slot_indices) {
-        const rstar::PageId id = ids[i];
-        const uint64_t key = (*keys)[i];
-        while ((*slots)[i] == nullptr && failure.ok()) {
-          common::Status leader_status;
-          if (coalescer_.BeginOrWait(key, &leader_status)) {
-            // A previous leader may have read this page and completed in
-            // the window between our cache-lookup miss and becoming
-            // leader ourselves — re-probe before paying a duplicate read.
-            bool late_prefetched = false;
-            if (const core::FlatNode* cached =
-                    cache_->ProbePinned(key, &late_prefetched)) {
-              (*slots)[i] = cached;
-              if (late_prefetched) ++outcome->prefetch_hits;
-              coalescer_.Complete(key, common::Status::OK());
-              continue;
-            }
-            common::Result<core::FlatNode> node =
-                reader_->ReadFlatNodeAt(id, locs[i], &counters);
-            common::Status read =
-                node.ok() ? common::Status::OK() : node.status();
-            if (node.ok()) {
-              (*slots)[i] = cache_->InsertPinned(key, std::move(*node),
-                                                 locs[i].span);
-            } else {
-              failure = read;
-            }
-            coalescer_.Complete(key, read);
-          } else {
-            // Joined a leader's read. The page was inserted just before
-            // Complete; if it has already been evicted (tiny cache), loop
-            // and become the leader ourselves.
-            ++outcome->coalesced_reads;
-            if (instr_.coalesced != nullptr) instr_.coalesced->Add(1);
-            if (!leader_status.ok()) {
-              failure = leader_status;
-              break;
-            }
-            bool follower_prefetched = false;
-            (*slots)[i] = cache_->ProbePinned(key, &follower_prefetched);
-            if (follower_prefetched) ++outcome->prefetch_hits;
-          }
-        }
-        if (!failure.ok()) break;
-      }
-      if (!failure.ok()) break;
+  // Submits one read batch for `group` — pages of `disk` this query leads
+  // in the in-flight table. The completion (on the backend's completion
+  // context) decodes each record, pins it into its slot and publishes the
+  // outcome to the page's followers. `keys`, `slots` and `sync` live on
+  // this thread's stack across sync.Wait(), so the completion borrows
+  // them safely; the plan owns the request buffers until it runs.
+  BatchSync sync;
+  auto lead = [&](int disk, std::vector<size_t> group) {
+    std::vector<rstar::PageId> group_ids;
+    std::vector<storage::PageLocation> group_locs;
+    group_ids.reserve(group.size());
+    group_locs.reserve(group.size());
+    for (size_t i : group) {
+      group_ids.push_back(ids[i]);
+      group_locs.push_back(locs[i]);
     }
-    outcome->io_faults += counters.faults;
-    outcome->io_retries += counters.retries;
-    if (span != nullptr) {
-      span->io_faults += counters.faults;
-      span->io_retries += counters.retries;
+    sync.Add();
+    auto plan = std::make_shared<ReadBatchPlan>();
+    const common::Status planned =
+        reader_->PlanBatchRead(group_ids, group_locs, plan.get());
+    if (!planned.ok()) {
+      for (size_t i : group) coalescer_.Complete((*keys)[i], planned);
+      sync.Done(planned, IoFaultCounters{});
+      return;
     }
-    if (!failure.ok()) {
-      for (size_t j = 0; j < ids.size(); ++j) {
-        if ((*slots)[j] != nullptr) cache_->Unpin((*keys)[j]);
-      }
-      slots->assign(ids.size(), nullptr);
-      return failure;
-    }
-    return common::Status::OK();
-  }
-
-  if (!misses_by_disk.empty() && io_pool_->completion_driven()) {
-    // Completion-driven path: plan each disk's batched read up front
-    // (buffer + merged-run accounting), hand the raw requests to the
-    // backend, and finish — decode, fault-fallback, insert-pinned — from
-    // the backend's completion context. No thread parks per disk; the
-    // traversal resumes when the last disk's completion fires sync.Done.
-    //
-    // Deep in-flight windows mean the per-disk FIFO no longer serializes
-    // duplicate reads the way DiskIoPool's single worker does, so the
-    // second-chance probe of the pooled path can't coalesce here: two
-    // queries missing the same page would both reach the media. The
-    // in-flight table partitions each disk's misses instead — pages this
-    // query *leads* (it submits the read and publishes the outcome) and
-    // pages some other query is already reading (joined after our own
-    // submissions, below).
-    BatchSync sync;
-    struct LeaderGroup {
-      int disk;
-      std::vector<size_t> slots;  // indices into ids/keys/slots
-    };
-    std::vector<LeaderGroup> groups;
-    groups.reserve(misses_by_disk.size());
-    std::vector<size_t> deferred;
-    for (auto& [disk, slot_indices] : misses_by_disk) {
-      LeaderGroup g{disk, {}};
-      for (size_t i : slot_indices) {
-        if (coalescer_.TryBegin((*keys)[i])) {
-          g.slots.push_back(i);
-        } else {
-          deferred.push_back(i);
-        }
-      }
-      if (!g.slots.empty()) groups.push_back(std::move(g));
-    }
-    sync.pending = static_cast<int>(groups.size());
-    for (LeaderGroup& group : groups) {
-      auto plan = std::make_shared<ReadBatchPlan>();
-      {
-        std::vector<rstar::PageId> group_ids;
-        std::vector<storage::PageLocation> group_locs;
-        group_ids.reserve(group.slots.size());
-        group_locs.reserve(group.slots.size());
-        for (size_t i : group.slots) {
-          group_ids.push_back(ids[i]);
-          group_locs.push_back(locs[i]);
-        }
-        common::Status planned =
-            reader_->PlanBatchRead(group_ids, group_locs, plan.get());
-        if (!planned.ok()) {
-          for (size_t i : group.slots) {
-            coalescer_.Complete((*keys)[i], planned);
-          }
-          sync.Done(planned, IoFaultCounters{}, 0, 0);
-          continue;
-        }
-      }
-      // The requests point into plan->bytes; the plan (and with it the
-      // buffer) is kept alive by the completion closure. `keys`, `slots`
-      // and `groups` live on this thread's stack across sync.Wait(), so
-      // the closure borrows them safely.
-      std::vector<storage::ReadRequest> requests = plan->requests;
-      io_pool_->SubmitBatchRead(
-          group.disk, std::move(requests),
-          [this, plan, keys, slots, &sync,
-           group_slots = &group.slots](common::Status batch) {
-            IoFaultCounters counters;
-            bool bytes_valid = false;
-            common::Status result =
-                reader_->NoteBatchOutcome(batch, &bytes_valid, &counters);
-            size_t n = 0;
-            if (result.ok()) {
-              for (; n < group_slots->size(); ++n) {
-                const size_t i = (*group_slots)[n];
-                auto flat =
-                    reader_->FinishFlatRecord(plan.get(), n, bytes_valid,
-                                              &counters);
-                if (!flat.ok()) {
-                  result = flat.status();
-                  break;
-                }
-                (*slots)[i] = cache_->InsertPinned(
-                    (*keys)[i], std::move(*flat), plan->locs[n].span);
-                coalescer_.Complete((*keys)[i], common::Status::OK());
+    io_pool_->SubmitBatchRead(
+        disk, plan->requests,
+        [this, plan, keys, slots, &sync,
+         group = std::move(group)](common::Status batch) {
+          IoFaultCounters counters;
+          bool bytes_valid = false;
+          common::Status result =
+              reader_->NoteBatchOutcome(batch, &bytes_valid, &counters);
+          size_t n = 0;
+          if (result.ok()) {
+            for (; n < group.size(); ++n) {
+              const size_t i = group[n];
+              auto flat = reader_->FinishFlatRecord(plan.get(), n,
+                                                    bytes_valid, &counters);
+              if (!flat.ok()) {
+                result = flat.status();
+                break;
               }
-            }
-            // Keys not published above (batch failure, or a decode
-            // stopping the loop early) still owe their followers an
-            // outcome.
-            for (; n < group_slots->size(); ++n) {
-              coalescer_.Complete((*keys)[(*group_slots)[n]], result);
-            }
-            sync.Done(result, counters, 0, 0);
-          });
-    }
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
-    // Pick up the deferred pages: their leaders (other queries' batches,
-    // or our own submissions above) complete via the backend's reactor,
-    // never on this thread, so blocking here cannot deadlock.
-    common::Status follow_failure;
-    uint64_t followed = 0;
-    uint64_t follow_prefetch_hits = 0;
-    IoFaultCounters follow_counters;
-    for (size_t i : deferred) {
-      const uint64_t key = (*keys)[i];
-      while ((*slots)[i] == nullptr && follow_failure.ok()) {
-        common::Status leader_status;
-        if (coalescer_.BeginOrWait(key, &leader_status)) {
-          // The leader finished but its page is already gone (tiny
-          // cache): re-probe, then read serially ourselves. Rare by
-          // construction.
-          bool late_prefetched = false;
-          if (const core::FlatNode* cached =
-                  cache_->ProbePinned(key, &late_prefetched)) {
-            (*slots)[i] = cached;
-            if (late_prefetched) ++follow_prefetch_hits;
-            coalescer_.Complete(key, common::Status::OK());
-            continue;
-          }
-          common::Result<core::FlatNode> node =
-              reader_->ReadFlatNodeAt(ids[i], locs[i], &follow_counters);
-          common::Status read =
-              node.ok() ? common::Status::OK() : node.status();
-          if (node.ok()) {
-            (*slots)[i] = cache_->InsertPinned(key, std::move(*node),
-                                               locs[i].span);
-          } else {
-            follow_failure = read;
-          }
-          coalescer_.Complete(key, read);
-        } else {
-          ++followed;
-          if (!leader_status.ok()) {
-            follow_failure = leader_status;
-            break;
-          }
-          bool follower_prefetched = false;
-          (*slots)[i] = cache_->ProbePinned(key, &follower_prefetched);
-          if (follower_prefetched) ++follow_prefetch_hits;
-        }
-      }
-      if (!follow_failure.ok()) break;
-    }
-    common::Status batch = sync.Wait();
-    if (batch.ok() && !follow_failure.ok()) batch = follow_failure;
-    outcome->coalesced_reads += followed;
-    if (instr_.coalesced != nullptr && followed > 0) {
-      instr_.coalesced->Add(static_cast<int64_t>(followed));
-    }
-    outcome->io_faults += sync.counters.faults + follow_counters.faults;
-    outcome->io_retries += sync.counters.retries + follow_counters.retries;
-    outcome->prefetch_hits += sync.prefetch_hits + follow_prefetch_hits;
-    if (span != nullptr) {
-      span->io_faults += sync.counters.faults + follow_counters.faults;
-      span->io_retries += sync.counters.retries + follow_counters.retries;
-    }
-    if (!batch.ok()) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if ((*slots)[i] != nullptr) cache_->Unpin((*keys)[i]);
-      }
-      slots->assign(ids.size(), nullptr);
-      return batch;
-    }
-    return common::Status::OK();
-  }
-
-  if (!misses_by_disk.empty()) {
-    BatchSync sync;
-    sync.pending = static_cast<int>(misses_by_disk.size());
-    for (auto& [disk, slot_indices] : misses_by_disk) {
-      // The worker fills its group's slots with pinned cache entries.
-      // Only fully decoded (checksum-verified) nodes are ever inserted,
-      // so a faulty read can never poison the shared cache.
-      // `ids`, `locs` and `keys` live on this thread's stack across
-      // sync.Wait(), so the jobs borrow them by reference safely.
-      io_pool_->Submit(disk, [this, &ids, &locs, keys, slots, &sync,
-                              group = &slot_indices] {
-        // Second-chance probe: a page's primary location maps to exactly
-        // one disk, and this worker runs that disk's jobs in order — so
-        // if another query missed the same page and its job ran first,
-        // the page is cached by now and the backend read is coalesced
-        // away. The probe is uncounted (the miss was already booked by
-        // the query thread's lookup).
-        std::vector<rstar::PageId> to_read;
-        std::vector<storage::PageLocation> to_read_locs;
-        std::vector<size_t> to_read_slots;
-        uint64_t job_coalesced = 0;
-        uint64_t job_prefetch_hits = 0;
-        to_read.reserve(group->size());
-        to_read_locs.reserve(group->size());
-        to_read_slots.reserve(group->size());
-        for (size_t i : *group) {
-          bool prefetched = false;
-          if (const FlatNode* node = cache_->ProbePinned((*keys)[i],
-                                                         &prefetched)) {
-            (*slots)[i] = node;
-            ++job_coalesced;
-            if (prefetched) ++job_prefetch_hits;
-          } else {
-            to_read.push_back(ids[i]);
-            to_read_locs.push_back(locs[i]);
-            to_read_slots.push_back(i);
-          }
-        }
-        std::vector<core::FlatNode> nodes;
-        IoFaultCounters counters;
-        common::Status read = common::Status::OK();
-        if (!to_read.empty()) {
-          read = reader_->ReadFlatNodesAt(to_read, to_read_locs, &nodes,
-                                          &counters);
-          if (read.ok()) {
-            for (size_t n = 0; n < to_read.size(); ++n) {
-              const size_t i = to_read_slots[n];
               (*slots)[i] = cache_->InsertPinned(
-                  (*keys)[i], std::move(nodes[n]), to_read_locs[n].span);
+                  (*keys)[i], std::move(*flat), plan->locs[n].span);
+              coalescer_.Complete((*keys)[i], common::Status::OK());
             }
           }
-        }
-        sync.Done(read, counters, job_coalesced, job_prefetch_hits);
-      });
-    }
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
-    common::Status batch = sync.Wait();
-    outcome->io_faults += sync.counters.faults;
-    outcome->io_retries += sync.counters.retries;
-    outcome->coalesced_reads += sync.coalesced;
-    outcome->prefetch_hits += sync.prefetch_hits;
-    if (instr_.coalesced != nullptr && sync.coalesced > 0) {
-      instr_.coalesced->Add(static_cast<int64_t>(sync.coalesced));
-    }
-    if (span != nullptr) {
-      span->io_faults += sync.counters.faults;
-      span->io_retries += sync.counters.retries;
-    }
-    if (!batch.ok()) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        if ((*slots)[i] != nullptr) cache_->Unpin((*keys)[i]);
-      }
-      slots->assign(ids.size(), nullptr);
-      return batch;
-    }
-  } else {
-    IssuePrefetch(prefetch_hints, misses_by_disk, outcome, tally);
-  }
-  return common::Status::OK();
-}
-
-void ParallelQueryEngine::NotePrefetchWasted(
-    const std::shared_ptr<PrefetchTally>& tally) {
-  prefetch_wasted_extra_.fetch_add(1, std::memory_order_relaxed);
-  if (instr_.prefetch_wasted != nullptr) instr_.prefetch_wasted->Add(1);
-  if (tally != nullptr) {
-    tally->wasted.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ParallelQueryEngine::IssuePrefetch(
-    const std::vector<rstar::PageId>& hints,
-    const std::map<int, std::vector<size_t>>& busy_disks,
-    QueryOutcome* outcome, const std::shared_ptr<PrefetchTally>& tally) {
-  if (options_.serial_io) return;
-  // Consult the controller every step (its refresh clock runs on
-  // consults) even when this step carries no hints.
-  int budget = prefetch_ctl_ != nullptr ? prefetch_ctl_->Consult()
-                                        : options_.prefetch_budget;
-  if (budget <= 0 || hints.empty()) return;
-  // Prefetch only runs in static-image mode (CreateMutable forces it
-  // off), so the reader's boot-time layout is the live page map and its
-  // location keys match the ones FetchBatch derives per snapshot.
-  for (rstar::PageId hint : hints) {
-    if (budget <= 0) break;
-    auto loc = reader_->LocationOf(hint);
-    if (!loc.ok()) continue;
-    const uint64_t key = storage::PageLocationKey(*loc);
-    // Demand misses own their disks this step; speculation only rides on
-    // disks the batch left idle (batch < NumDisks — the idle-spindle
-    // window CRSS's candidate runs are meant to fill)...
-    if (busy_disks.count(loc->disk) != 0) continue;
-    // ...and only on disks with no *other* queries' demand work queued
-    // or in service (demand_busy): under concurrency every spindle is
-    // somebody's demand spindle, and a speculative read still costs a
-    // full media service time. Queue depth alone misses the saturated
-    // case — a disk mid-demand-read with an empty queue is not idle.
-    if (io_pool_->demand_busy(loc->disk)) continue;
-    if (cache_->Contains(key)) continue;  // already resident
-    const int disk = loc->disk;
-    const uint32_t span_pages = loc->span;
-    const storage::PageLocation hint_loc = *loc;
-    // Fire-and-forget speculative-class job: demand jobs overtake it in
-    // queue, and the cancel predicate retires it unread if its page
-    // arrives some other way first. A full speculative queue simply
-    // drops it (queue_rejections counts the drop). The engine's
-    // destruction order guarantees the pool drains before cache/reader
-    // go away; `tally` is shared, so it outlives the issuing query.
-    const bool accepted = io_pool_->SubmitSpeculative(
-        disk,
-        [this, hint, hint_loc, key, span_pages, tally] {
-          if (cache_->Contains(key)) {
-            // A demand read (or another prefetch) beat us between the
-            // cancel check and now.
-            NotePrefetchWasted(tally);
-            return;
+          // Keys not published above (batch failure, or a decode stopping
+          // the loop early) still owe their followers an outcome.
+          for (; n < group.size(); ++n) {
+            coalescer_.Complete((*keys)[group[n]], result);
           }
-          common::Result<core::FlatNode> node =
-              reader_->ReadFlatNodeAt(hint, hint_loc);
-          if (!node.ok()) {
-            // Speculation failing is not an error, but it bought nothing.
-            NotePrefetchWasted(tally);
-            return;
-          }
-          if (instr_.prefetch_pages_read != nullptr) {
-            instr_.prefetch_pages_read->Add(span_pages);
-          }
-          cache_->InsertPinned(key, std::move(*node), span_pages,
-                               /*speculative=*/true);
-          cache_->Unpin(key);
-        },
-        [this, key, tally] {
-          if (!cache_->Contains(key)) return false;
-          NotePrefetchWasted(tally);
-          return true;
+          sync.Done(result, counters);
         });
-    if (accepted) {
-      --budget;
-      ++outcome->prefetch_issued;
-      if (instr_.prefetch_issued != nullptr) instr_.prefetch_issued->Add(1);
+  };
+
+  // Miss pass. The in-flight table partitions each disk's misses into
+  // pages this query leads and pages another query is already reading
+  // (deferred: picked up after our own submissions). A new leader
+  // re-probes the cache first — another query's read may have landed
+  // between our lookup and our TryBegin.
+  uint64_t coalesced = 0;
+  std::vector<size_t> deferred;
+  for (auto& [disk, slot_indices] : misses_by_disk) {
+    std::vector<size_t> group;
+    for (size_t i : slot_indices) {
+      const uint64_t key = (*keys)[i];
+      if (!coalescer_.TryBegin(key)) {
+        deferred.push_back(i);
+      } else if (const FlatNode* cached = cache_->ProbePinned(key)) {
+        (*slots)[i] = cached;
+        ++coalesced;
+        coalescer_.Complete(key, common::Status::OK());
+      } else {
+        group.push_back(i);
+      }
     }
+    if (!group.empty()) lead(disk, std::move(group));
   }
+  // Join the deferred pages' reads. Their leaders (other queries' batches,
+  // or our own submissions above) complete without waiting on this
+  // thread, so blocking here cannot deadlock. A leader's page inserted
+  // just before Complete may already be evicted again (tiny cache); then
+  // the join repeats, and whoever ends up leading reads it afresh.
+  common::Status follow_failure;
+  for (size_t i : deferred) {
+    const uint64_t key = (*keys)[i];
+    for (;;) {
+      common::Status leader_status;
+      if (coalescer_.BeginOrWait(key, &leader_status)) {
+        if (const FlatNode* cached = cache_->ProbePinned(key)) {
+          (*slots)[i] = cached;
+          ++coalesced;
+          coalescer_.Complete(key, common::Status::OK());
+        } else {
+          lead(locs[i].disk, {i});
+        }
+        break;
+      }
+      ++coalesced;
+      if (!leader_status.ok()) {
+        follow_failure = leader_status;
+        break;
+      }
+      if (((*slots)[i] = cache_->ProbePinned(key)) != nullptr) break;
+    }
+    if (!follow_failure.ok()) break;
+  }
+
+  common::Status status = sync.Wait();
+  if (status.ok()) status = follow_failure;
+  outcome->coalesced_reads += coalesced;
+  if (instr_.coalesced != nullptr && coalesced > 0) {
+    instr_.coalesced->Add(static_cast<int64_t>(coalesced));
+  }
+  outcome->io_faults += sync.counters.faults;
+  outcome->io_retries += sync.counters.retries;
+  if (span != nullptr) {
+    span->io_faults += sync.counters.faults;
+    span->io_retries += sync.counters.retries;
+  }
+  if (!status.ok()) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if ((*slots)[i] != nullptr) cache_->Unpin((*keys)[i]);
+    }
+    slots->assign(ids.size(), nullptr);
+  }
+  return status;
 }
 
 QueryOutcome ParallelQueryEngine::RunQuery(const EngineQuery& query) {
@@ -761,21 +446,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
       options.deadline_s > 0.0 ? start + options.deadline_s
                                : std::numeric_limits<double>::infinity();
 
-  // Prefetch attribution shared with this traversal's fire-and-forget
-  // speculative jobs; their waste events recorded after the traversal
-  // returns go to the global counters only.
-  std::shared_ptr<PrefetchTally> tally;
-  if (!options_.serial_io &&
-      (options_.prefetch_budget > 0 || prefetch_ctl_ != nullptr)) {
-    tally = std::make_shared<PrefetchTally>();
-  }
-  auto tally_wasted = [&answer, &tally] {
-    if (tally != nullptr) {
-      answer.prefetch_wasted =
-          tally->wasted.load(std::memory_order_relaxed);
-    }
-  };
-
   std::vector<const FlatNode*> slots;
   std::vector<uint64_t> keys;
 
@@ -803,7 +473,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           "index poisoned by an earlier commit failure; recover by "
           "reopening from the log");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     layout = mindex_->layout_snapshot_locked();
@@ -831,7 +500,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           std::string(options.algo_name) + " query cancelled after " +
           std::to_string(answer.steps) + " steps");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     if (NowSeconds() > deadline) {
@@ -840,7 +508,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
           std::string(options.algo_name) + " query exceeded its " +
           std::to_string(options.deadline_s) + " s deadline");
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     ++answer.steps;
@@ -858,8 +525,8 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
       fetch_start = NowSeconds();
       span.start_s = fetch_start - trace_->epoch_seconds();
     }
-    answer.status = FetchBatch(step.requests, step.prefetch_hints, *layout,
-                               &slots, &keys, &answer, span_ptr, tally);
+    answer.status =
+        FetchBatch(step.requests, *layout, &slots, &keys, &answer, span_ptr);
     if (span_ptr != nullptr) fetch_end = NowSeconds();
     if (instr_.steps != nullptr) {
       instr_.steps->Add(1);
@@ -871,7 +538,6 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
         trace_->Record(std::move(span));
       }
       answer.latency_s = NowSeconds() - start;
-      tally_wasted();
       return answer;
     }
     std::vector<core::FetchedPage> pages;
@@ -900,13 +566,12 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
     ++step_index;
   }
   answer.latency_s = NowSeconds() - start;
-  tally_wasted();
   return answer;
 }
 
-std::vector<QueryAnswer> ParallelQueryEngine::RunBatch(
+std::vector<QueryOutcome> ParallelQueryEngine::RunBatch(
     const std::vector<EngineQuery>& queries) {
-  std::vector<QueryAnswer> answers(queries.size());
+  std::vector<QueryOutcome> answers(queries.size());
   if (queries.empty()) return answers;
   const int n_threads = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(options_.query_threads),

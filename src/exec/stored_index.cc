@@ -155,51 +155,6 @@ common::Result<rstar::Node> StoredIndexReader::ReadOneWithRetry(
                        std::to_string(attempts_made) + " attempt(s))");
 }
 
-common::Result<core::FlatNode> StoredIndexReader::ReadFlatNode(
-    rstar::PageId id, IoFaultCounters* counters) const {
-  auto node = ReadNode(id, counters);
-  if (!node.ok()) return node.status();
-  return core::FlatNode::FromNode(*node, layout_.tree_config.dim);
-}
-
-common::Status StoredIndexReader::ReadFlatNodes(
-    std::span<const rstar::PageId> ids, std::vector<core::FlatNode>* out,
-    IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  nodes.reserve(ids.size());
-  SQP_RETURN_IF_ERROR(ReadNodes(ids, &nodes, counters));
-  out->reserve(out->size() + nodes.size());
-  for (const rstar::Node& n : nodes) {
-    out->push_back(core::FlatNode::FromNode(n, layout_.tree_config.dim));
-  }
-  return common::Status::OK();
-}
-
-common::Result<core::FlatNode> StoredIndexReader::ReadFlatNodeAt(
-    rstar::PageId id, const storage::PageLocation& loc,
-    IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  SQP_RETURN_IF_ERROR(ReadNodesAt(std::span<const rstar::PageId>(&id, 1),
-                                  std::span<const storage::PageLocation>(
-                                      &loc, 1),
-                                  &nodes, counters));
-  return core::FlatNode::FromNode(nodes[0], layout_.tree_config.dim);
-}
-
-common::Status StoredIndexReader::ReadFlatNodesAt(
-    std::span<const rstar::PageId> ids,
-    std::span<const storage::PageLocation> locs,
-    std::vector<core::FlatNode>* out, IoFaultCounters* counters) const {
-  std::vector<rstar::Node> nodes;
-  nodes.reserve(ids.size());
-  SQP_RETURN_IF_ERROR(ReadNodesAt(ids, locs, &nodes, counters));
-  out->reserve(out->size() + nodes.size());
-  for (const rstar::Node& n : nodes) {
-    out->push_back(core::FlatNode::FromNode(n, layout_.tree_config.dim));
-  }
-  return common::Status::OK();
-}
-
 common::Status StoredIndexReader::ReadNodes(
     std::span<const rstar::PageId> ids, std::vector<rstar::Node>* out,
     IoFaultCounters* counters) const {

@@ -72,7 +72,7 @@ bool IsRetryableReadError(const common::Status& s);
 // A batched read split into its plan and its finish. PlanBatchRead sizes
 // one contiguous buffer and lays one ReadRequest per record into it; the
 // caller then executes the requests however it likes — the reader's own
-// ReadPages call, or a completion-driven I/O backend — and finishes each
+// ReadPages call, or the engine's I/O backend — and finishes each
 // record with FinishNodeRecord / FinishFlatRecord, which carry the exact
 // decode / fault-count / retry-fallback semantics of ReadNodesAt.
 //
@@ -133,38 +133,21 @@ class StoredIndexReader {
                            std::vector<rstar::Node>* out,
                            IoFaultCounters* counters = nullptr) const;
 
-  // Like ReadNode/ReadNodes, but delivers the records already converted
-  // to the SoA core::FlatNode layout the engine's page cache stores (one
-  // conversion per cold read; warm path never sees an rstar::Node). Same
-  // retry/fault semantics as ReadNodes.
-  common::Result<core::FlatNode> ReadFlatNode(
-      rstar::PageId id, IoFaultCounters* counters = nullptr) const;
-  common::Status ReadFlatNodes(std::span<const rstar::PageId> ids,
-                               std::vector<core::FlatNode>* out,
-                               IoFaultCounters* counters = nullptr) const;
-
-  // Location-explicit forms: read the record for `ids[i]` at `locs[i]`
-  // instead of resolving through the reader's own layout. The engine's
-  // per-query snapshots resolve PageIds themselves (a mutable index moves
-  // PageIds between commits), then read here. Same batching, retry and
-  // fault semantics as the id-resolved forms. `locs` must align with
-  // `ids` and every span must be nonzero.
+  // Location-explicit form: reads the record for `ids[i]` at `locs[i]`
+  // instead of resolving through the reader's own layout. Same batching,
+  // retry and fault semantics as ReadNodes. `locs` must align with `ids`
+  // and every span must be nonzero.
   common::Status ReadNodesAt(std::span<const rstar::PageId> ids,
                              std::span<const storage::PageLocation> locs,
                              std::vector<rstar::Node>* out,
                              IoFaultCounters* counters = nullptr) const;
-  common::Result<core::FlatNode> ReadFlatNodeAt(
-      rstar::PageId id, const storage::PageLocation& loc,
-      IoFaultCounters* counters = nullptr) const;
-  common::Status ReadFlatNodesAt(std::span<const rstar::PageId> ids,
-                                 std::span<const storage::PageLocation> locs,
-                                 std::vector<core::FlatNode>* out,
-                                 IoFaultCounters* counters = nullptr) const;
 
   // --- Split batched read: plan / execute / finish --------------------
-  // The completion-driven engine path. PlanBatchRead validates the
-  // locations and builds the buffer + requests (counting the batch's
-  // planned media reads); the caller executes the requests; then
+  // The engine's read path: its per-query snapshots resolve PageIds
+  // themselves (a mutable index moves PageIds between commits) and pass
+  // the locations in. PlanBatchRead validates the locations and builds
+  // the buffer + requests (counting the batch's planned media reads); the
+  // caller executes the requests through its I/O backend; then
   // NoteBatchOutcome accounts the batch-level status (retryable failure
   // invalidates the buffer and falls back per record, permanent failure
   // is returned for the caller to propagate) and Finish*Record delivers
@@ -184,8 +167,8 @@ class StoredIndexReader {
       ReadBatchPlan* plan, size_t i, bool bytes_valid,
       IoFaultCounters* counters) const;
 
-  // The store this reader reads from (the engine hands it to kernel-native
-  // I/O backends, which probe it for raw fds).
+  // The store this reader reads from (the engine hands it to its I/O
+  // backend).
   const storage::PageStore* store() const { return store_; }
 
   // Physical media accesses issued so far: merged batch runs at plan time

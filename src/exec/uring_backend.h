@@ -5,38 +5,31 @@
 // dozens of reads in flight. This backend replaces the D worker threads
 // with ONE completion reactor driving one io_uring shared by all disks:
 //
-//   * demand read batches (SubmitBatchRead) are merged into offset-
-//     contiguous runs (storage::PlanReadRuns — the same plan
-//     FilePageStore executes) and submitted as vectored READV SQEs
-//     against the store's registered file descriptors, up to a deep
-//     per-disk in-flight window;
+//   * read batches (SubmitBatchRead) are merged into offset-contiguous
+//     runs (storage::PlanReadRuns — the same plan FilePageStore
+//     executes) and submitted as vectored READV SQEs against the store's
+//     registered file descriptors, up to a deep per-disk in-flight
+//     window;
 //   * the reactor reaps CQEs and invokes the batch's completion callback
 //     directly — the waiting traversal step is resumed from the
-//     completion, no thread ever blocks in pread;
-//   * the two-class contract is preserved: demand runs own the ring,
-//     speculative closure jobs (prefetch) run on per-disk executor
-//     threads created lazily and only while their disk has no demand
-//     work queued or in flight, with the cancel predicate evaluated at
-//     the moment the job would start (cancelled entries are never
-//     submitted, or reaped and dropped at shutdown).
+//     completion, no thread ever blocks in pread.
 //
 // Fault/latency decorators stay BELOW the backend: a store that cannot
 // hand out raw file descriptors (PageStore::RawFd < 0 — MemPageStore,
 // ThrottledPageStore, FaultInjectingPageStore, the mutable index's
-// switchable facade) routes its batches through store->ReadPages on the
-// per-disk executors instead of the ring — one job per merged run, up
-// to the same per-disk window the ring sustains, so a disk overlaps its
-// runs' charged service times exactly as per-run SQEs overlap in fd
-// mode, and injected faults surface exactly as they do under the
-// threads backend. Answers are bit-identical either way — the engine
-// owns delivery order.
+// switchable facade) routes its batches through store->ReadPages on
+// per-disk executor threads (created lazily) instead of the ring — one
+// job per merged run, up to the same per-disk window the ring sustains,
+// so a disk overlaps its runs' charged service times exactly as per-run
+// SQEs overlap in fd mode, and injected faults surface exactly as they
+// do under the threads backend. Answers are bit-identical either way —
+// the engine owns delivery order.
 //
 // Metrics (with a registry): the per-disk sqp_io_* family of the threads
 // backend where meaningful, plus sqp_io_inflight{disk} (runs in flight
 // on the ring), sqp_uring_submit_batch_size (SQEs per io_uring_enter)
-// and sqp_uring_completion_seconds (submit -> reap latency). Demand-run
-// conservation: reads_submitted == reads_completed + reads_cancelled
-// once drained, alongside the speculative identity of IoBackend.
+// and sqp_uring_completion_seconds (submit -> reap latency). Run
+// conservation: reads_submitted == reads_completed once drained.
 //
 // Build support is probed twice: at compile time (SQP_HAVE_IO_URING,
 // from linux/io_uring.h) and at runtime (ProbeIoUring — an
@@ -75,12 +68,10 @@ struct UringBackendOptions {
   // Deep per-disk in-flight window: how many merged runs of one disk may
   // sit in the ring at once. Clamped so all disks together fit the ring.
   int max_inflight_per_disk = 16;
-  // Queued-but-unsubmitted demand jobs per disk before SubmitBatchRead /
-  // Submit block (backpressure), as DiskIoPoolOptions::max_queue_depth.
+  // Queued-but-unsubmitted batches (or executor runs) per disk before
+  // SubmitBatchRead blocks (backpressure), as
+  // DiskIoPoolOptions::max_queue_depth.
   size_t max_queue_depth = 1024;
-  // Per-disk bound on queued speculative jobs; SubmitSpeculative never
-  // blocks, it rejects.
-  size_t max_speculative_depth = 64;
 };
 
 class UringIoBackend final : public IoBackend {
@@ -95,8 +86,7 @@ class UringIoBackend final : public IoBackend {
       obs::MetricsRegistry* metrics = nullptr,
       const UringBackendOptions& options = {});
 
-  // Drains all queued demand work (batches and closures), cancels queued
-  // speculation, then joins the reactor and executors.
+  // Drains all queued batches, then joins the reactor and executors.
   ~UringIoBackend() override;
 
   UringIoBackend(const UringIoBackend&) = delete;
@@ -105,36 +95,23 @@ class UringIoBackend final : public IoBackend {
   const char* name() const override { return "uring"; }
   int num_disks() const override;
 
-  void Submit(int disk, std::function<void()> job) override;
-  bool TrySubmit(int disk, std::function<void()> job) override;
-  bool SubmitSpeculative(int disk, std::function<void()> job,
-                         std::function<bool()> cancel = nullptr) override;
-
-  bool completion_driven() const override { return true; }
   void SubmitBatchRead(int disk, std::vector<storage::ReadRequest> requests,
                        std::function<void(common::Status)> done) override;
 
   uint64_t jobs_completed() const override;
   uint64_t backpressure_waits() const override;
-  uint64_t queue_rejections() const override;
-  uint64_t speculative_issued() const override;
-  uint64_t speculative_completed() const override;
-  uint64_t speculative_cancelled() const override;
-  size_t demand_queue_depth(int disk) const override;
-  bool demand_busy(int disk) const override;
   bool OnWorkerThread() const override;
 
-  // True when demand batches really ride the ring (the store handed out
+  // True when batches really ride the ring (the store handed out
   // raw fds for every disk); false when they run via ReadPages on the
   // executors (decorated or in-memory stores).
   bool using_raw_fds() const;
 
-  // Demand-run conservation over the ring (and the executor fallback,
-  // where one batch counts as one run): once drained,
-  // reads_submitted == reads_completed + reads_cancelled.
+  // Run conservation over the ring and the executor fallback (merged
+  // runs submitted vs landed): once drained,
+  // reads_submitted == reads_completed.
   uint64_t reads_submitted() const;
   uint64_t reads_completed() const;
-  uint64_t reads_cancelled() const;
 
  private:
   struct Impl;

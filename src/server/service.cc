@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -16,6 +17,36 @@ double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// The one admission check of a query's values, shared by every front end
+// (binary frames, text lines, the CLI) because all of them funnel through
+// Submit: a value no query can mean is a typed InvalidArgument here, never
+// a CHECK failure or a garbage answer further down.
+common::Status ValidateSpec(const QuerySpec& spec, int dim) {
+  if (spec.point.dim() != dim) {
+    return common::Status::InvalidArgument(
+        "query point has dimension " + std::to_string(spec.point.dim()) +
+        ", index has " + std::to_string(dim));
+  }
+  for (int i = 0; i < dim; ++i) {
+    if (!std::isfinite(spec.point[i])) {
+      return common::Status::InvalidArgument(
+          "query coordinate " + std::to_string(i) + " is not finite");
+    }
+  }
+  if (spec.mode == QueryMode::kRange) {
+    if (!std::isfinite(spec.radius) || spec.radius < 0.0) {
+      return common::Status::InvalidArgument(
+          "radius must be finite and >= 0");
+    }
+  } else if (spec.k == 0) {
+    return common::Status::InvalidArgument("k must be >= 1");
+  }
+  if (!std::isfinite(spec.deadline_s)) {
+    return common::Status::InvalidArgument("deadline must be finite");
+  }
+  return common::Status::OK();
 }
 
 }  // namespace
@@ -146,19 +177,9 @@ QueryService::~QueryService() {
 common::Result<std::shared_ptr<StreamingQuery>> QueryService::Submit(
     const QuerySpec& spec) {
   if (m_submitted_ != nullptr) m_submitted_->Add(1);
-  if (spec.point.dim() != dim()) {
+  if (common::Status valid = ValidateSpec(spec, dim()); !valid.ok()) {
     if (m_shed_ != nullptr) m_shed_->Add(1);
-    return common::Status::InvalidArgument(
-        "query point has dimension " + std::to_string(spec.point.dim()) +
-        ", index has " + std::to_string(dim()));
-  }
-  if (spec.mode != QueryMode::kRange && spec.k == 0) {
-    if (m_shed_ != nullptr) m_shed_->Add(1);
-    return common::Status::InvalidArgument("k must be >= 1");
-  }
-  if (spec.mode == QueryMode::kRange && spec.radius < 0.0) {
-    if (m_shed_ != nullptr) m_shed_->Add(1);
-    return common::Status::InvalidArgument("radius must be >= 0");
+    return valid;
   }
 
   auto q = std::make_shared<StreamingQuery>();

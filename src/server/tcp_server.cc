@@ -7,8 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -322,8 +326,7 @@ void TcpServer::HandleText(int fd, uint64_t id, const std::string& initial) {
     std::string verb;
     in >> verb;
     QuerySpec spec;
-    bool have_size = false;
-    double size_arg = 0.0;
+    std::string size_tok;  // k or radius, parsed once the verb is known
     std::vector<geometry::Coord> coords;
     std::string tok;
     bool bad = false;
@@ -345,21 +348,32 @@ void TcpServer::HandleText(int fd, uint64_t id, const std::string& initial) {
         }
         continue;
       }
+      if (size_tok.empty()) {
+        size_tok = tok;
+        continue;
+      }
       char* end = nullptr;
       const double v = std::strtod(tok.c_str(), &end);
       if (end == tok.c_str() || *end != '\0') {
         bad = true;
         break;
       }
-      if (!have_size) {
-        size_arg = v;
-        have_size = true;
-      } else {
-        coords.push_back(static_cast<geometry::Coord>(v));
-      }
+      // A value beyond the coordinate type's range becomes infinity
+      // (well-defined, unlike the narrowing cast), which Submit rejects
+      // like any other non-finite coordinate.
+      constexpr double kCoordMax = std::numeric_limits<geometry::Coord>::max();
+      coords.push_back(std::fabs(v) <= kCoordMax
+                           ? static_cast<geometry::Coord>(v)
+                           : std::numeric_limits<geometry::Coord>::infinity());
+    }
+    double radius = 0.0;
+    if (verb == "range") {
+      char* end = nullptr;
+      radius = std::strtod(size_tok.c_str(), &end);
+      bad |= end == size_tok.c_str() || *end != '\0';
     }
     std::string reply;
-    if (bad || !have_size || coords.empty() ||
+    if (bad || size_tok.empty() || coords.empty() ||
         (verb != "knn" && verb != "range")) {
       reply =
           "error invalid_argument usage: knn <k> <coord>... | "
@@ -367,12 +381,26 @@ void TcpServer::HandleText(int fd, uint64_t id, const std::string& initial) {
       if (!WriteAll(fd, reply.data(), reply.size())) return;
       continue;
     }
+    // k is a u32 on the binary wire: a text k must be a plain integer in
+    // [1, 2^32 - 1] — no sign, fraction or exponent.
+    uint64_t k = 0;
+    if (verb == "knn") {
+      const char* last = size_tok.data() + size_tok.size();
+      const auto [ptr, ec] = std::from_chars(size_tok.data(), last, k);
+      if (ec != std::errc() || ptr != last || k < 1 ||
+          k > std::numeric_limits<uint32_t>::max()) {
+        reply = "error invalid_argument k must be an integer in [1, " +
+                std::to_string(std::numeric_limits<uint32_t>::max()) + "]\n";
+        if (!WriteAll(fd, reply.data(), reply.size())) return;
+        continue;
+      }
+    }
     if (verb == "knn") {
       if (spec.mode != QueryMode::kKnnBatch) spec.mode = QueryMode::kKnnStream;
-      spec.k = static_cast<size_t>(size_arg);
+      spec.k = static_cast<size_t>(k);
     } else {
       spec.mode = QueryMode::kRange;
-      spec.radius = size_arg;
+      spec.radius = radius;
     }
     spec.point = geometry::Point::FromVector(std::move(coords));
 

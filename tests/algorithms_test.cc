@@ -5,7 +5,9 @@
 // maximal batches).
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,10 +56,17 @@ void ExpectMatchesBruteForce(const KnnResultSet& got, const Dataset& data,
   }
 }
 
+// gtest_discover_tests registers each case under a name that spells out
+// the raw bytes of the parameter. The explicit zero field fills what would
+// otherwise be padding after `kind`, whose bytes are whatever the compiler
+// left there, so that the registered names are the same on every build.
 struct AlgoCase {
   AlgorithmKind kind;
+  uint32_t zero = 0;
   const char* name;
 };
+static_assert(std::has_unique_object_representations_v<AlgoCase>,
+              "AlgoCase must have no padding bytes");
 
 class AllAlgorithmsTest : public ::testing::TestWithParam<AlgoCase> {};
 
@@ -179,10 +188,10 @@ TEST_P(AllAlgorithmsTest, QueryOutsideDataSpace) {
 
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, AllAlgorithmsTest,
-    ::testing::Values(AlgoCase{AlgorithmKind::kBbss, "BBSS"},
-                      AlgoCase{AlgorithmKind::kFpss, "FPSS"},
-                      AlgoCase{AlgorithmKind::kCrss, "CRSS"},
-                      AlgoCase{AlgorithmKind::kWoptss, "WOPTSS"}),
+    ::testing::Values(AlgoCase{AlgorithmKind::kBbss, 0, "BBSS"},
+                      AlgoCase{AlgorithmKind::kFpss, 0, "FPSS"},
+                      AlgoCase{AlgorithmKind::kCrss, 0, "CRSS"},
+                      AlgoCase{AlgorithmKind::kWoptss, 0, "WOPTSS"}),
     [](const ::testing::TestParamInfo<AlgoCase>& info) {
       return info.param.name;
     });

@@ -1,7 +1,7 @@
 // Cross-query read coalescing: the ReadCoalescer in-flight table, and the
 // engine-level guarantee it exists for — N queries missing the same page
-// concurrently cost exactly one backend read, in both the serial_io
-// (leader/follower) and pooled (second-chance probe) fetch paths.
+// concurrently cost exactly one backend read, whichever I/O backend
+// carries the reads.
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +18,7 @@
 #include "core/algorithms.h"
 #include "exec/coalescer.h"
 #include "exec/parallel_engine.h"
+#include "exec/uring_backend.h"
 #include "geometry/point.h"
 #include "parallel/parallel_tree.h"
 #include "storage/index_io.h"
@@ -194,13 +195,17 @@ std::unique_ptr<parallel::ParallelRStarTree> SmallIndex(uint64_t seed,
 }
 
 // With a cache big enough to never evict, every media location is read at
-// most once no matter how many concurrent queries want it: serial_io
-// coalesces via the in-flight table, pooled mode via the FIFO worker's
-// second-chance probe. This is the satellite guarantee, asserted on real
-// engine traffic rather than a mocked race.
+// most once no matter how many concurrent queries want it: the in-flight
+// table makes one query the leader of each missed location, and a leader
+// re-probes the cache before reading. Asserted on real engine traffic
+// rather than a mocked race, on every backend.
 TEST(EngineCoalescingTest, ConcurrentQueriesReadEachLocationOnce) {
-  for (bool serial_io : {false, true}) {
-    SCOPED_TRACE(serial_io ? "serial_io" : "pooled");
+  std::vector<exec::IoBackendKind> backends = {exec::IoBackendKind::kThreads,
+                                               exec::IoBackendKind::kSerial};
+  if (exec::ProbeIoUring().available) {
+    backends.push_back(exec::IoBackendKind::kUring);
+  }
+  for (exec::IoBackendKind backend : backends) {
     auto index = SmallIndex(21, 4);
     storage::MemPageStore mem(4);
     ASSERT_TRUE(storage::SaveIndex(*index, &mem).ok());
@@ -209,10 +214,11 @@ TEST(EngineCoalescingTest, ConcurrentQueriesReadEachLocationOnce) {
     exec::EngineOptions options;
     options.query_threads = 4;
     options.cache_pages = 4096;  // no eviction: re-reads would be bugs
-    options.serial_io = serial_io;
+    options.io_backend = backend;
     auto engine =
         exec::ParallelQueryEngine::Create(*index, &counting, options);
     ASSERT_TRUE(engine.ok()) << engine.status();
+    SCOPED_TRACE((*engine)->io_backend_name());
     counting.ResetCounts();  // drop the index-load reads
 
     // Three distinct query points, four copies of each: maximal overlap.
@@ -235,8 +241,8 @@ TEST(EngineCoalescingTest, ConcurrentQueriesReadEachLocationOnce) {
   }
 }
 
-// serial_io with slow media: identical queries racing from the first page
-// onward actually join each other's in-flight reads (nonzero
+// The serial backend with slow media: identical queries racing from the
+// first page onward actually join each other's in-flight reads (nonzero
 // coalesced_reads), and joining changes nothing about the answers.
 TEST(EngineCoalescingTest, SerialIoConcurrentMissesCoalesce) {
   auto index = SmallIndex(22, 3);
@@ -247,7 +253,7 @@ TEST(EngineCoalescingTest, SerialIoConcurrentMissesCoalesce) {
   exec::EngineOptions options;
   options.query_threads = 3;
   options.cache_pages = 4096;
-  options.serial_io = true;
+  options.io_backend = exec::IoBackendKind::kSerial;
   auto engine = exec::ParallelQueryEngine::Create(*index, &counting, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   counting.ResetCounts();
@@ -271,88 +277,6 @@ TEST(EngineCoalescingTest, SerialIoConcurrentMissesCoalesce) {
   }
   EXPECT_GE(coalesced, 1u);
   EXPECT_EQ(counting.MaxReadsOfAnyLocation(), 1);
-}
-
-// --- CRSS-hint prefetch ---------------------------------------------------
-
-// Prefetch is off by default, and off must mean *off*: zero speculative
-// reads, so the strict metrics conservation identities of
-// docs/OBSERVABILITY.md keep holding without carve-outs.
-TEST(EnginePrefetchTest, DisabledByDefault) {
-  auto index = SmallIndex(31, 4);
-  storage::MemPageStore mem(4);
-  ASSERT_TRUE(storage::SaveIndex(*index, &mem).ok());
-
-  exec::EngineOptions options;
-  options.query_threads = 2;
-  options.cache_pages = 64;
-  auto engine = exec::ParallelQueryEngine::Create(*index, &mem, options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
-
-  std::vector<exec::EngineQuery> queries;
-  for (int i = 0; i < 6; ++i) {
-    queries.push_back({Point{0.1f * static_cast<float>(i), 0.5f}, 10,
-                       core::AlgorithmKind::kCrss});
-  }
-  const auto outcomes = (*engine)->RunBatch(queries);
-  for (const auto& o : outcomes) {
-    ASSERT_TRUE(o.status.ok()) << o.status.message();
-    EXPECT_EQ(o.prefetch_issued, 0u);
-  }
-  const obs::MetricsSnapshot snap = (*engine)->metrics()->Snapshot();
-  EXPECT_EQ(snap.CounterValue("sqp_engine_prefetch_issued_total"), 0u);
-}
-
-// With a budget, CRSS hints actually turn into speculative reads on idle
-// disks — and speculation changes neither the answers nor the per-query
-// page accounting (prefetched pages are charged to nobody; a later demand
-// hit on one shows up as a cache hit).
-TEST(EnginePrefetchTest, IssuesSpeculativeReadsWithoutChangingAnswers) {
-  auto index = SmallIndex(32, 6);
-  storage::MemPageStore mem(6);
-  ASSERT_TRUE(storage::SaveIndex(*index, &mem).ok());
-
-  std::vector<exec::EngineQuery> queries;
-  for (int i = 0; i < 8; ++i) {
-    queries.push_back({Point{0.13f * static_cast<float>(i % 7), 0.4f}, 15,
-                       core::AlgorithmKind::kCrss});
-  }
-
-  auto run = [&](int budget) {
-    exec::EngineOptions options;
-    options.query_threads = 1;  // deterministic page/hit accounting
-    options.cache_pages = 256;
-    options.prefetch_budget = budget;
-    auto engine = exec::ParallelQueryEngine::Create(*index, &mem, options);
-    SQP_CHECK(engine.ok());
-    auto outcomes = (*engine)->RunBatch(queries);
-    const uint64_t issued = (*engine)->metrics()->Snapshot().CounterValue(
-        "sqp_engine_prefetch_issued_total");
-    return std::make_pair(std::move(outcomes), issued);
-  };
-  const auto [plain, plain_issued] = run(0);
-  const auto [speculative, spec_issued] = run(4);
-
-  EXPECT_EQ(plain_issued, 0u);
-  EXPECT_GT(spec_issued, 0u);
-  ASSERT_EQ(plain.size(), speculative.size());
-  uint64_t issued_via_outcomes = 0;
-  for (size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(plain[i].status.ok()) << plain[i].status.message();
-    ASSERT_TRUE(speculative[i].status.ok())
-        << speculative[i].status.message();
-    ASSERT_EQ(plain[i].neighbors.size(), speculative[i].neighbors.size());
-    for (size_t j = 0; j < plain[i].neighbors.size(); ++j) {
-      EXPECT_EQ(plain[i].neighbors[j].object,
-                speculative[i].neighbors[j].object);
-      EXPECT_EQ(plain[i].neighbors[j].dist_sq,
-                speculative[i].neighbors[j].dist_sq);
-    }
-    // Speculative reads are charged to no query.
-    EXPECT_EQ(plain[i].pages_fetched, speculative[i].pages_fetched);
-    issued_via_outcomes += speculative[i].prefetch_issued;
-  }
-  EXPECT_EQ(issued_via_outcomes, spec_issued);
 }
 
 }  // namespace

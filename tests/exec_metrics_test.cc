@@ -143,20 +143,23 @@ TEST(ExecMetricsTest, CacheHitsPlusMissesEqualPageRequests) {
 
 // With no cache and no faults, every page the engine counts as fetched
 // was read from exactly one disk, so the per-disk reader counters sum to
-// the engine total. Run twice (serial and pooled I/O) — the identity may
-// not depend on the fetch path. One query in flight at a time: even a
-// zero-capacity cache shares pages that a concurrent query holds pinned,
-// and any such hit would be a page fetched but not read from a disk.
+// the engine total — exactly, with no carve-out term. Run on the serial
+// and the threads backend: the identity may not depend on how reads
+// reach the media. One query in flight at a time: even a zero-capacity
+// cache shares pages that a concurrent query holds pinned, and any such
+// hit would be a page fetched but not read from a disk.
 TEST(ExecMetricsTest, PerDiskReadsSumToPagesFetched) {
-  for (const bool serial_io : {false, true}) {
+  for (const exec::IoBackendKind backend :
+       {exec::IoBackendKind::kThreads, exec::IoBackendKind::kSerial}) {
     MetricsRig rig = MakeRig(40);
     exec::EngineOptions options;
     options.query_threads = 1;
     options.cache_pages = 0;  // every fetch reads the store
-    options.serial_io = serial_io;
+    options.io_backend = backend;
     auto engine =
         exec::ParallelQueryEngine::Create(*rig.index, &rig.store, options);
     ASSERT_TRUE(engine.ok()) << engine.status();
+    const std::string name = (*engine)->io_backend_name();
 
     const OutcomeTotals t = Sum((*engine)->RunBatch(rig.queries));
     ASSERT_EQ(t.failed, 0u);
@@ -166,63 +169,17 @@ TEST(ExecMetricsTest, PerDiskReadsSumToPagesFetched) {
     const uint64_t per_disk_sum =
         snap.CounterSumByPrefix("sqp_reader_pages_read_total");
     EXPECT_EQ(per_disk_sum, snap.CounterValue("sqp_engine_pages_fetched_total"))
-        << "serial_io=" << serial_io;
-    EXPECT_EQ(per_disk_sum, t.pages) << "serial_io=" << serial_io;
+        << name;
+    EXPECT_EQ(per_disk_sum, t.pages) << name;
 
     // Declustering actually spread the load: every disk served pages.
     for (int d = 0; d < (*engine)->num_disks(); ++d) {
       EXPECT_GT(snap.CounterValue(
                     obs::WithLabel("sqp_reader_pages_read_total", "disk", d)),
                 0u)
-          << "disk " << d << " served nothing, serial_io=" << serial_io;
+          << "disk " << d << " served nothing on " << name;
     }
   }
-}
-
-// With prefetch on, speculation is the one sanctioned carve-out of the
-// reader identity: every per-disk read serves either a demand fetch or a
-// speculative job, so the per-disk totals reconcile as pages_fetched +
-// prefetch_pages_read. The demand identity (hits + misses == page
-// requests) is untouched — speculative probes never count as cache
-// traffic. Snapshot is taken from an external registry *after* the
-// engine drains, so in-flight speculative reads cannot undercount.
-TEST(ExecMetricsTest, PrefetchReadsReconcileWithDemandFetches) {
-  MetricsRig rig = MakeRig(40);
-  // All-CRSS: the only algorithm that emits prefetch hints.
-  for (exec::EngineQuery& q : rig.queries) {
-    q.algo = core::AlgorithmKind::kCrss;
-  }
-  obs::MetricsRegistry reg;  // outlives the engine
-  exec::EngineOptions options;
-  options.query_threads = 1;  // no cross-query pin sharing
-  options.cache_pages = 0;    // every demand fetch reads the store
-  options.prefetch_budget = 4;
-  options.metrics = &reg;
-
-  OutcomeTotals t;
-  {
-    auto engine =
-        exec::ParallelQueryEngine::Create(*rig.index, &rig.store, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    t = Sum((*engine)->RunBatch(rig.queries));
-    ASSERT_EQ(t.failed, 0u);
-    EXPECT_EQ(t.hits, 0u);
-  }  // drains the I/O pool: every accepted speculative read has landed
-
-  const obs::MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_GT(snap.CounterValue("sqp_engine_prefetch_issued_total"), 0u)
-      << "CRSS queries on idle disks issued no speculation";
-  // Demand identity: unchanged by prefetch.
-  EXPECT_EQ(snap.CounterValue("sqp_cache_hits_total") +
-                snap.CounterValue("sqp_cache_misses_total"),
-            snap.CounterValue("sqp_engine_page_requests_total"));
-  // Reader identity, prefetch form.
-  const uint64_t per_disk_sum =
-      snap.CounterSumByPrefix("sqp_reader_pages_read_total");
-  EXPECT_EQ(per_disk_sum,
-            snap.CounterValue("sqp_engine_pages_fetched_total") +
-                snap.CounterValue("sqp_engine_prefetch_pages_read_total"));
-  EXPECT_EQ(snap.CounterValue("sqp_engine_pages_fetched_total"), t.pages);
 }
 
 // Transient-only faults with a generous retry budget: every query heals,

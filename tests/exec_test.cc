@@ -1,8 +1,8 @@
 // Tests of the real concurrent execution engine (src/exec/): the sharded
-// pin/unpin page cache, the per-disk I/O worker pool, PageId-level batched
-// store reads, and — the anchor property — bit-identical k-NN results
-// between ParallelQueryEngine and the sequential executor for every
-// algorithm, declustering policy and seed.
+// pin/unpin page cache, the per-disk I/O worker pool and the serial
+// backend, PageId-level batched store reads, and — the anchor property —
+// bit-identical k-NN results between ParallelQueryEngine and the
+// sequential executor for every algorithm, declustering policy and seed.
 
 #include <algorithm>
 #include <atomic>
@@ -10,13 +10,17 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <mutex>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/sequential_executor.h"
@@ -193,40 +197,100 @@ TEST(PageCacheTest, ConcurrentPinUnpin) {
 
 // --- DiskIoPool -----------------------------------------------------------
 
+// A MemPageStore whose reads can be held at a per-disk gate: ReadPages on
+// a closed disk records that it entered, then blocks until the disk is
+// opened — so a test can park a DiskIoPool worker mid-batch and keep
+// everything behind it queued, gating on events instead of wall clock.
+class GatedStore : public storage::MemPageStore {
+ public:
+  explicit GatedStore(int disks) : MemPageStore(disks) {
+    const std::vector<uint8_t> page(kPage, 0xab);
+    for (int d = 0; d < disks; ++d) {
+      SQP_CHECK_OK(WriteAt(d, 0, page.data(), kPage));
+    }
+  }
+
+  static constexpr size_t kPage = 64;
+
+  common::Status ReadPages(
+      std::span<const storage::ReadRequest> requests) const override {
+    if (!requests.empty()) {
+      std::unique_lock<std::mutex> lock(mu_);
+      const int disk = requests[0].disk;
+      ++entered_[disk];
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return closed_.count(disk) == 0; });
+    }
+    return MemPageStore::ReadPages(requests);
+  }
+
+  void Close(int disk) {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_.insert(disk);
+  }
+  void Open(int disk) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_.erase(disk);
+    }
+    cv_.notify_all();
+  }
+  // Blocks until `n` batches have entered ReadPages on `disk`.
+  void AwaitEntered(int disk, int n) const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_[disk] >= n; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::set<int> closed_;
+  mutable std::map<int, int> entered_;
+};
+
+// One single-request read batch of `disk`'s first page into `buf`.
+std::vector<storage::ReadRequest> PageRead(int disk, uint8_t* buf) {
+  return {{disk, 0, buf, GatedStore::kPage}};
+}
+
 TEST(DiskIoPoolTest, JobsOnOneDiskRunInSubmissionOrder) {
-  DiskIoPool pool(1);
+  GatedStore store(1);
+  DiskIoPool pool(&store);
+  std::vector<std::vector<uint8_t>> bufs(
+      50, std::vector<uint8_t>(GatedStore::kPage));
   std::vector<int> order;
   std::mutex mu;
   std::condition_variable cv;
   int done = 0;
   for (int i = 0; i < 50; ++i) {
-    pool.Submit(0, [&, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(i);
-      if (++done == 50) cv.notify_one();
-    });
+    pool.SubmitBatchRead(0, PageRead(0, bufs[i].data()),
+                         [&, i](common::Status st) {
+                           EXPECT_TRUE(st.ok()) << st;
+                           std::lock_guard<std::mutex> lock(mu);
+                           order.push_back(i);
+                           if (++done == 50) cv.notify_one();
+                         });
   }
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done == 50; });
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(bufs[49][0], 0xab);
 }
 
 TEST(DiskIoPoolTest, DisksProgressIndependently) {
-  DiskIoPool pool(4);
-  // Disk 0's worker parks on a gate; the other disks' jobs must still
-  // complete while it is parked — a shared or serialized queue would
-  // leave them stuck behind it. Gating on completion order instead of
-  // wall clock keeps the test deterministic under arbitrary host load.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
+  GatedStore store(4);
+  DiskIoPool pool(&store);
+  // Disk 0's worker parks inside its read; the other disks' batches must
+  // still complete while it is parked — a shared or serialized queue
+  // would leave them stuck behind it.
+  std::vector<std::vector<uint8_t>> bufs(
+      4, std::vector<uint8_t>(GatedStore::kPage));
   std::atomic<int> fast_done{0};
-  pool.Submit(0, [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
+  store.Close(0);
+  pool.SubmitBatchRead(0, PageRead(0, bufs[0].data()), [](common::Status) {});
   for (int d = 1; d < 4; ++d) {
-    pool.Submit(d, [&] { fast_done.fetch_add(1); });
+    pool.SubmitBatchRead(d, PageRead(d, bufs[d].data()),
+                         [&](common::Status) { fast_done.fetch_add(1); });
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -236,104 +300,108 @@ TEST(DiskIoPoolTest, DisksProgressIndependently) {
     std::this_thread::yield();
   }
   EXPECT_EQ(fast_done.load(), 3);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_one();
+  // Each batch is counted before its completion runs.
+  EXPECT_EQ(pool.jobs_completed(), 3u);
+  store.Open(0);
   while (pool.jobs_completed() < 4) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "gate job stuck";
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "gated read stuck";
     std::this_thread::yield();
   }
   EXPECT_EQ(pool.jobs_completed(), 4u);
 }
 
 TEST(DiskIoPoolTest, DestructorDrainsPendingJobs) {
+  GatedStore store(2);
+  std::vector<std::vector<uint8_t>> bufs(
+      100, std::vector<uint8_t>(GatedStore::kPage));
   std::atomic<int> ran{0};
   {
-    DiskIoPool pool(2);
+    DiskIoPool pool(&store);
     for (int i = 0; i < 100; ++i) {
-      pool.Submit(i % 2, [&ran] { ran.fetch_add(1); });
+      pool.SubmitBatchRead(i % 2, PageRead(i % 2, bufs[i].data()),
+                           [&ran](common::Status) { ran.fetch_add(1); });
     }
   }
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(DiskIoPoolTest, TrySubmitRejectsWhenQueueFull) {
-  exec::DiskIoPoolOptions opts;
-  opts.max_queue_depth = 4;
-  DiskIoPool pool(1, nullptr, opts);
-
-  // Park the worker on a gate job so everything behind it stays queued.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> gate_running{false};
-  pool.Submit(0, [&] {
-    gate_running.store(true);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (!gate_running.load()) std::this_thread::yield();
-
-  // The queue (not counting the job in service) holds exactly the bound.
-  std::atomic<int> ran{0};
-  for (size_t i = 0; i < opts.max_queue_depth; ++i) {
-    EXPECT_TRUE(pool.TrySubmit(0, [&ran] { ran.fetch_add(1); }));
-  }
-  EXPECT_FALSE(pool.TrySubmit(0, [&ran] { ran.fetch_add(1); }));
-  EXPECT_FALSE(pool.TrySubmit(0, [&ran] { ran.fetch_add(1); }));
-  EXPECT_EQ(pool.queue_rejections(), 2u);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_one();
-  // Rejected jobs were dropped, accepted ones all run.
-  while (ran.load() < static_cast<int>(opts.max_queue_depth)) {
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(ran.load(), static_cast<int>(opts.max_queue_depth));
-}
-
 TEST(DiskIoPoolTest, SubmitBlocksUntilSpaceAndCountsBackpressure) {
+  GatedStore store(1);
   exec::DiskIoPoolOptions opts;
   opts.max_queue_depth = 2;
-  DiskIoPool pool(1, nullptr, opts);
+  DiskIoPool pool(&store, nullptr, opts);
 
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> gate_running{false};
-  pool.Submit(0, [&] {
-    gate_running.store(true);
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (!gate_running.load()) std::this_thread::yield();
-  pool.Submit(0, [] {});
-  pool.Submit(0, [] {});  // queue now at capacity
+  std::vector<std::vector<uint8_t>> bufs(
+      4, std::vector<uint8_t>(GatedStore::kPage));
+  auto ignore = [](common::Status) {};
+  store.Close(0);
+  pool.SubmitBatchRead(0, PageRead(0, bufs[0].data()), ignore);
+  store.AwaitEntered(0, 1);  // the worker is parked inside the first read
+  pool.SubmitBatchRead(0, PageRead(0, bufs[1].data()), ignore);
+  pool.SubmitBatchRead(0, PageRead(0, bufs[2].data()),
+                       ignore);  // queue now at capacity
 
   std::atomic<bool> submitted{false};
   std::thread submitter([&] {
-    pool.Submit(0, [] {});  // must block until the worker drains a slot
+    // Must block until the worker drains a slot.
+    pool.SubmitBatchRead(0, PageRead(0, bufs[3].data()), ignore);
     submitted.store(true);
   });
   // The stall is counted before the wait, so this poll is race-free.
   while (pool.backpressure_waits() == 0) std::this_thread::yield();
   EXPECT_FALSE(submitted.load());
 
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_one();
+  store.Open(0);
   submitter.join();
   EXPECT_TRUE(submitted.load());
   EXPECT_EQ(pool.backpressure_waits(), 1u);
-  EXPECT_EQ(pool.queue_rejections(), 0u);
 }
+
+// The serial backend reads each request on the calling thread and has run
+// the completion by the time SubmitBatchRead returns.
+TEST(SerialIoBackendTest, CompletesInlineOnTheCallingThread) {
+  GatedStore store(2);
+  exec::SerialIoBackend serial(&store);
+  std::vector<uint8_t> a(GatedStore::kPage), b(GatedStore::kPage);
+  bool done = false;
+  serial.SubmitBatchRead(
+      1,
+      {{1, 0, a.data(), GatedStore::kPage},
+       {1, 0, b.data(), GatedStore::kPage}},
+      [&](common::Status st) {
+        EXPECT_TRUE(st.ok()) << st;
+        done = true;
+      });
+  EXPECT_TRUE(done);
+  EXPECT_EQ(serial.jobs_completed(), 1u);
+  EXPECT_EQ(a[0], 0xab);
+  EXPECT_EQ(b[GatedStore::kPage - 1], 0xab);
+}
+
+#ifndef NDEBUG
+TEST(DiskIoPoolDeathTest, SubmitBatchReadFromCompletionAbortsInDebugBuilds) {
+  // A completion runs on a worker; submitting from it can self-deadlock
+  // on a full queue, so debug builds turn the latent hazard into an
+  // immediate abort.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        GatedStore store(1);
+        DiskIoPool pool(&store);
+        std::vector<uint8_t> buf(GatedStore::kPage);
+        std::atomic<bool> done{false};
+        pool.SubmitBatchRead(0, PageRead(0, buf.data()),
+                             [&](common::Status) {
+                               pool.SubmitBatchRead(  // aborts here
+                                   0, PageRead(0, buf.data()),
+                                   [](common::Status) {});
+                               done.store(true);
+                             });
+        while (!done.load()) std::this_thread::yield();
+      },
+      "OnWorkerThread");
+}
+#endif  // NDEBUG
 
 // --- Store-backed fixtures ------------------------------------------------
 
@@ -499,12 +567,12 @@ void ExpectIdenticalToSequential(const parallel::ParallelRStarTree& index,
       engine_queries.push_back({q, k, kind});
     }
   }
-  const std::vector<exec::QueryAnswer> answers =
+  const std::vector<exec::QueryOutcome> answers =
       engine.RunBatch(engine_queries);
   size_t qi = 0;
   for (AlgorithmKind kind : kAll) {
     for (const Point& q : queries) {
-      const exec::QueryAnswer& got = answers[qi++];
+      const exec::QueryOutcome& got = answers[qi++];
       ASSERT_TRUE(got.status.ok())
           << label << " " << core::AlgorithmName(kind) << ": "
           << got.status;
@@ -530,7 +598,8 @@ void ExpectIdenticalToSequential(const parallel::ParallelRStarTree& index,
 
 // The anchor property: across seeds, algorithms and declustering policies,
 // the parallel engine's k-NN answers are bit-identical to the sequential
-// executor's (same objects, same squared distances, same page counts).
+// executor's (same objects, same squared distances, same page counts) on
+// the threads and the serial backend alike (uring: io_backend_test.cc).
 TEST(ParallelEngineTest, BitIdenticalToSequentialAcrossSeeds) {
   constexpr DeclusterPolicy kPolicies[] = {
       DeclusterPolicy::kProximityIndex, DeclusterPolicy::kRoundRobin,
@@ -545,16 +614,22 @@ TEST(ParallelEngineTest, BitIdenticalToSequentialAcrossSeeds) {
     storage::MemPageStore store(disks);
     ASSERT_TRUE(storage::SaveIndex(*index, &store).ok());
 
-    exec::EngineOptions options;
-    options.query_threads = 4;
-    options.cache_pages = seed % 2 == 0 ? 256 : 16;  // exercise eviction
-    options.cache_shards = 4;
-    auto engine = exec::ParallelQueryEngine::Create(*index, &store, options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
+    for (const exec::IoBackendKind backend :
+         {exec::IoBackendKind::kThreads, exec::IoBackendKind::kSerial}) {
+      exec::EngineOptions options;
+      options.query_threads = 4;
+      options.cache_pages = seed % 2 == 0 ? 256 : 16;  // exercise eviction
+      options.cache_shards = 4;
+      options.io_backend = backend;
+      auto engine =
+          exec::ParallelQueryEngine::Create(*index, &store, options);
+      ASSERT_TRUE(engine.ok()) << engine.status();
 
-    const std::string label = "seed " + std::to_string(seed);
-    ExpectIdenticalToSequential(*index, **engine, QueriesFor(seed, 4),
-                                1 + seed % 30, label.c_str());
+      const std::string label = "seed " + std::to_string(seed) + " " +
+                                (*engine)->io_backend_name();
+      ExpectIdenticalToSequential(*index, **engine, QueriesFor(seed, 4),
+                                  1 + seed % 30, label.c_str());
+    }
   }
 }
 
@@ -591,8 +666,8 @@ TEST(ParallelEngineTest, WorksOverRealFilesAndThrottledStore) {
   std::filesystem::remove_all(dir);
 }
 
-// serial_io bypasses the per-disk workers entirely; answers must not
-// change (it is the benchmark's single-threaded baseline).
+// The serial backend bypasses the per-disk workers entirely; answers must
+// not change (it is the benchmark's single-threaded baseline).
 TEST(ParallelEngineTest, SerialIoModeIsIdenticalToo) {
   auto index = BuildSmallIndex(77, 5, DeclusterPolicy::kAreaBalance,
                                /*mirrored=*/false);
@@ -601,7 +676,7 @@ TEST(ParallelEngineTest, SerialIoModeIsIdenticalToo) {
   exec::EngineOptions options;
   options.query_threads = 1;
   options.cache_pages = 32;
-  options.serial_io = true;
+  options.io_backend = exec::IoBackendKind::kSerial;
   auto engine = exec::ParallelQueryEngine::Create(*index, &store, options);
   ASSERT_TRUE(engine.ok()) << engine.status();
   ExpectIdenticalToSequential(*index, **engine, QueriesFor(78, 3), 8,
@@ -621,10 +696,10 @@ TEST(ParallelEngineTest, CacheCountsHitsAcrossQueries) {
 
   const exec::EngineQuery query{Point{0.5f, 0.5f}, 10,
                                 AlgorithmKind::kCrss};
-  const exec::QueryAnswer first = (*engine)->RunQuery(query);
+  const exec::QueryOutcome first = (*engine)->RunQuery(query);
   ASSERT_TRUE(first.status.ok());
   EXPECT_GT(first.cache_misses, 0u);
-  const exec::QueryAnswer second = (*engine)->RunQuery(query);
+  const exec::QueryOutcome second = (*engine)->RunQuery(query);
   ASSERT_TRUE(second.status.ok());
   EXPECT_EQ(second.cache_misses, 0u);
   EXPECT_GT(second.cache_hits, 0u);
@@ -664,7 +739,7 @@ TEST(ParallelEngineTest, ManyConcurrentMixedQueries) {
                static_cast<geometry::Coord>(rng.Uniform())},
          1 + static_cast<size_t>(rng.UniformInt(0, 20)), kind});
   }
-  const std::vector<exec::QueryAnswer> answers =
+  const std::vector<exec::QueryOutcome> answers =
       (*engine)->RunBatch(queries);
   ASSERT_EQ(answers.size(), queries.size());
   for (size_t i = 0; i < answers.size(); ++i) {

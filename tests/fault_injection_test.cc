@@ -496,13 +496,13 @@ TEST(EngineFaultTest, TransientFaultsRetriedBitIdenticalAcrossSweep) {
                                    test_seeds::FaultInjectorSeed(seed));
 
     exec::EngineOptions options;
-    // Serial I/O: every read happens on the one query thread, so the
+    // Serial backend: every read happens on the one query thread, so the
     // injector's RNG draws replay in the same order every run and this
     // sweep is exactly reproducible. The per-disk worker path runs under
     // faults in the interleaving-robust tests below and in the stress
     // suite.
     options.query_threads = 1;
-    options.serial_io = true;
+    options.io_backend = exec::IoBackendKind::kSerial;
     options.cache_pages = 0;  // every fetch touches the faulty media
     options.retry = FastRetry();
     auto engine = exec::ParallelQueryEngine::Create(*index, &faulty, options);

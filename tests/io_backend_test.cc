@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/algorithms.h"
 #include "core/sequential_executor.h"
@@ -302,10 +303,10 @@ TEST(UringBackendTest, InjectedFaultsGiveSameStatusesAsThreads) {
 
 // --- Conservation ---------------------------------------------------------
 
-// After a drain, every identity closes: demand runs
-// (reads_submitted == reads_completed + reads_cancelled) and speculation
-// (issued == completed + cancelled), on both the ring path (raw files)
-// and the executor fallback (MemPageStore).
+// After a drain, every identity closes — runs
+// (reads_submitted == reads_completed) and batches (every completion ran
+// and was counted) — on both the ring path (raw files) and the executor
+// fallback (MemPageStore).
 TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
   const exec::UringProbe probe = ProbeIoUring();
   if (!probe.available) {
@@ -334,7 +335,6 @@ TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
     ASSERT_TRUE(backend.ok()) << backend.status();
 
     std::atomic<int> batches_done{0};
-    std::atomic<bool> cancel_all{false};
     constexpr int kBatches = 40;
     std::vector<std::vector<uint8_t>> bufs(kBatches);
     for (int i = 0; i < kBatches; ++i) {
@@ -354,31 +354,18 @@ TEST(UringBackendTest, ConservationIdentitiesAfterDrain) {
                 << "batch " << i << " disk " << disk;
             batches_done.fetch_add(1);
           });
-      (*backend)->SubmitSpeculative(
-          disk, [] {}, [&] { return cancel_all.load(); });
     }
-    cancel_all.store(true);
+    // A batch is counted before its completion runs, so once every
+    // completion has fired the counters must already agree.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (std::chrono::steady_clock::now() < deadline) {
-      const bool demand_done =
-          batches_done.load() == kBatches &&
-          (*backend)->jobs_completed() == static_cast<uint64_t>(kBatches) &&
-          (*backend)->reads_completed() + (*backend)->reads_cancelled() ==
-              (*backend)->reads_submitted();
-      const bool spec_done = (*backend)->speculative_completed() +
-                                 (*backend)->speculative_cancelled() ==
-                             (*backend)->speculative_issued();
-      if (demand_done && spec_done) break;
+    while (batches_done.load() < kBatches &&
+           std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_EQ(batches_done.load(), kBatches);
     EXPECT_GT((*backend)->reads_submitted(), 0u);
-    EXPECT_EQ((*backend)->reads_submitted(),
-              (*backend)->reads_completed() + (*backend)->reads_cancelled());
-    EXPECT_EQ((*backend)->speculative_issued(),
-              (*backend)->speculative_completed() +
-                  (*backend)->speculative_cancelled());
+    EXPECT_EQ((*backend)->reads_submitted(), (*backend)->reads_completed());
     EXPECT_EQ((*backend)->jobs_completed(),
               static_cast<uint64_t>(kBatches));
   }
@@ -412,12 +399,12 @@ TEST(UringBackendTest, ForcedOffFallsBackToThreads) {
   for (const auto& a : answers) ASSERT_TRUE(a.status.ok()) << a.status;
 }
 
-// --- Cancellation races (run under TSan in CI) ----------------------------
+// --- Shutdown races (run under TSan in CI) --------------------------------
 
-// Speculative cancellation racing demand batches, closure jobs and the
-// backend's own shutdown: no data race, and the conservation identities
-// still close. Small sizes — the value is the interleavings under TSan.
-TEST(UringConcurrencyTest, CancellationRacesCompletions) {
+// Concurrent submitters racing completions and the backend's own
+// shutdown: no data race, and every accepted batch completes. Small
+// sizes — the value is the interleavings under TSan.
+TEST(UringConcurrencyTest, ShutdownRacesCompletions) {
   const exec::UringProbe probe = ProbeIoUring();
   if (!probe.available) {
     GTEST_SKIP() << "io_uring unavailable: " << probe.detail;
@@ -435,7 +422,6 @@ TEST(UringConcurrencyTest, CancellationRacesCompletions) {
   for (int round = 0; round < 4; ++round) {
     auto backend = UringIoBackend::Create(store->get());
     ASSERT_TRUE(backend.ok()) << backend.status();
-    std::atomic<bool> cancel{false};
     std::atomic<int> done{0};
     constexpr int kBatchesPerDisk = 25;
     std::vector<std::vector<uint8_t>> bufs(kDisks * kBatchesPerDisk);
@@ -454,23 +440,13 @@ TEST(UringConcurrencyTest, CancellationRacesCompletions) {
                                         EXPECT_TRUE(s.ok()) << s;
                                         done.fetch_add(1);
                                       });
-          (*backend)->SubmitSpeculative(
-              d, [&] { std::this_thread::yield(); },
-              [&] { return cancel.load(); });
-          if (i == kBatchesPerDisk / 2) cancel.store(true);
+          std::this_thread::yield();
         }
       });
     }
-    submitters.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        cancel.store(i % 2 == 0);
-        std::this_thread::yield();
-      }
-      cancel.store(false);
-    });
     for (auto& t : submitters) t.join();
-    // Destroy mid-flight on odd rounds: the destructor must drain demand
-    // work and cancel queued speculation without racing the reactor.
+    // Destroy mid-flight on odd rounds: the destructor must drain every
+    // queued batch without racing the reactor.
     if (round % 2 == 0) {
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -484,6 +460,38 @@ TEST(UringConcurrencyTest, CancellationRacesCompletions) {
   }
   std::filesystem::remove_all(dir);
 }
+
+#ifndef NDEBUG
+TEST(UringBackendDeathTest, SubmitBatchReadFromCompletionAbortsInDebugBuilds) {
+  // Completions run on the backend's own threads (here an executor, the
+  // store having no raw fds); submitting from one can wedge on
+  // backpressure, so debug builds abort instead.
+  const exec::UringProbe probe = ProbeIoUring();
+  if (!probe.available) {
+    GTEST_SKIP() << "io_uring unavailable: " << probe.detail;
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        storage::MemPageStore store(1);
+        std::vector<uint8_t> buf(4096);
+        SQP_CHECK_OK(store.WriteAt(0, 0, buf.data(), buf.size()));
+        auto backend = UringIoBackend::Create(&store);
+        SQP_CHECK(backend.ok());
+        UringIoBackend* b = backend->get();
+        std::atomic<bool> done{false};
+        b->SubmitBatchRead(0, {{0, 0, buf.data(), buf.size()}},
+                           [&](common::Status) {
+                             b->SubmitBatchRead(  // aborts here
+                                 0, {{0, 0, buf.data(), buf.size()}},
+                                 [](common::Status) {});
+                             done.store(true);
+                           });
+        while (!done.load()) std::this_thread::yield();
+      },
+      "OnWorkerThread");
+}
+#endif  // NDEBUG
 
 // --- Hot-neighbor placement -----------------------------------------------
 

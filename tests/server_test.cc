@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -734,6 +735,50 @@ TEST(TcpServerTest, TextProtocolAnswersHumans) {
 
   const std::string bad = Exchange(f.server->port(), "frobnicate\nquit\n");
   EXPECT_NE(bad.find("error invalid_argument"), std::string::npos) << bad;
+}
+
+// Hostile values on a text line: each gets a typed invalid_argument reply
+// (never a CHECK abort, a cast to a garbage k, or an answer computed from
+// NaN distances), and the same connection keeps serving afterwards.
+class TextHostileValueTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TextHostileValueTest, RejectedTypedAndServerKeepsServing) {
+  ServerFixture f = ServerFixture::Create();
+  const std::string line = GetParam();
+  const std::string response =
+      Exchange(f.server->port(), line + "\nknn 3 0.5 0.5\nquit\n");
+  EXPECT_EQ(response.rfind("error invalid_argument", 0), 0u) << response;
+  EXPECT_NE(response.find("done 3"), std::string::npos) << response;
+}
+
+INSTANTIATE_TEST_SUITE_P(TcpServerTest, TextHostileValueTest,
+                         ::testing::Values("range nan 0.5 0.5",
+                                           "knn 5 nan nan", "knn -1 0.5 0.5",
+                                           "knn 1e300 0.5 0.5",
+                                           "range inf 0.5 0.5"));
+
+// The same check guards the binary path: Submit itself rejects every
+// hostile value, so no front end can smuggle one past it.
+TEST(StreamingServiceTest, SubmitRejectsNonFiniteValues) {
+  ServerFixture f = ServerFixture::Create();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<QuerySpec> hostile(5);
+  hostile[0].point = Point{0.5, nan};
+  hostile[1].point = Point{inf, 0.5};
+  hostile[2].point = Point{0.5, 0.5};
+  hostile[2].mode = QueryMode::kRange;
+  hostile[2].radius = nan;
+  hostile[3].point = Point{0.5, 0.5};
+  hostile[3].deadline_s = inf;
+  hostile[4].point = Point{0.5, 0.5};
+  hostile[4].k = 0;
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    auto submitted = f.service->Submit(hostile[i]);
+    ASSERT_FALSE(submitted.ok()) << "spec " << i;
+    EXPECT_EQ(submitted.status().code(), common::StatusCode::kInvalidArgument)
+        << "spec " << i << ": " << submitted.status();
+  }
 }
 
 TEST(TcpServerTest, ClientCancelStopsAServerQuery) {

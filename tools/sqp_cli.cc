@@ -82,11 +82,6 @@
 //         io_uring completion reactor. uring falls back to threads (and
 //         says so) when the kernel lacks io_uring; answers are
 //         bit-identical either way (docs/EXECUTION.md)
-//   --prefetch=off|N|adaptive   parallel engine: CRSS-hint speculative
-//         prefetch policy — off (default), a fixed per-step budget of N
-//         pages, or the feedback-controlled budget (two-class disk
-//         queues keep demand reads ahead of speculation either way; see
-//         docs/PERFORMANCE.md)
 //   --faults=0 --fault-seed=42   parallel engine: inject a deterministic
 //         mix of transient media faults (bit flips, torn reads, transient
 //         EIO) at the given per-read probability. Failed queries are
@@ -453,17 +448,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   options.query_threads = static_cast<int>(flags.GetInt("threads", 8));
   options.cache_pages = static_cast<size_t>(flags.GetInt("cache", 4096));
   if (!ParseIoFlag(flags, &options.io_backend)) return 1;
-  const std::string prefetch = flags.Get("prefetch", "off");
-  if (prefetch == "adaptive") {
-    options.prefetch_adaptive = true;
-  } else if (prefetch != "off") {
-    options.prefetch_budget = std::atoi(prefetch.c_str());
-    if (options.prefetch_budget <= 0) {
-      std::fprintf(stderr, "bad --prefetch=%s (want off, N, or adaptive)\n",
-                   prefetch.c_str());
-      return 1;
-    }
-  }
   auto engine =
       mindex != nullptr
           ? exec::ParallelQueryEngine::CreateMutable(mindex, options)
@@ -503,7 +487,7 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   }
 
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<exec::QueryAnswer> answers =
+  const std::vector<exec::QueryOutcome> answers =
       (*engine)->RunBatch(queries);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -515,7 +499,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   double pages = 0.0;
   size_t failed = 0;
   uint64_t io_faults = 0, io_retries = 0;
-  uint64_t prefetch_issued = 0, prefetch_hits = 0, prefetch_wasted = 0;
   // Failures broken down by status code: scheduling outcomes
   // (deadline_exceeded, cancelled) are operationally different from data
   // errors and get counted apart, not string-matched.
@@ -523,9 +506,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
   for (size_t i = 0; i < answers.size(); ++i) {
     io_faults += answers[i].io_faults;
     io_retries += answers[i].io_retries;
-    prefetch_issued += answers[i].prefetch_issued;
-    prefetch_hits += answers[i].prefetch_hits;
-    prefetch_wasted += answers[i].prefetch_wasted;
     if (!answers[i].status.ok()) {
       ++failed;
       ++failures_by_code[common::StatusCodeName(answers[i].status.code())];
@@ -569,14 +549,6 @@ int RunParallelEngine(const Flags& flags, const workload::Dataset& data,
       1e3 * p99, pages / static_cast<double>(ok_count),
       100 * cache.HitRate(), static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses));
-  if (prefetch != "off") {
-    std::printf(
-        "  prefetch         %s: %llu speculative reads issued, "
-        "%llu demand hits on prefetched frames, %llu wasted\n",
-        prefetch.c_str(), static_cast<unsigned long long>(prefetch_issued),
-        static_cast<unsigned long long>(prefetch_hits),
-        static_cast<unsigned long long>(prefetch_wasted));
-  }
   if (io_faults > 0 || io_retries > 0 || faulty != nullptr) {
     const exec::ReaderFaultTotals rt = (*engine)->reader().fault_totals();
     std::printf(
