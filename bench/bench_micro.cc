@@ -270,7 +270,7 @@ void BM_PageCacheHit(benchmark::State& state) {
   options.shards = 16;
   exec::ShardedPageCache cache(options);
   for (rstar::PageId id = 0; id < 256; ++id) {
-    cache.InsertPinned(id, CacheNode(id), 1);
+    cache.InsertPinned(id, CacheNode(id));
     cache.Unpin(id);
   }
   common::Rng rng(9);
@@ -295,7 +295,7 @@ void BM_PageCacheMissInsert(benchmark::State& state) {
         static_cast<rstar::PageId>(rng.UniformInt(0, 255));
     const exec::FlatNode* node = cache.LookupPinned(id);
     if (node == nullptr) {
-      node = cache.InsertPinned(id, CacheNode(id), 1);
+      node = cache.InsertPinned(id, CacheNode(id));
     }
     benchmark::DoNotOptimize(node);
     cache.Unpin(id);
@@ -313,7 +313,7 @@ void BM_PageCacheContendedPin(benchmark::State& state) {
     options.shards = 16;
     cache = new exec::ShardedPageCache(options);
     for (rstar::PageId id = 0; id < 64; ++id) {
-      cache->InsertPinned(id, CacheNode(id), 1);
+      cache->InsertPinned(id, CacheNode(id));
       cache->Unpin(id);
     }
   }

@@ -7,7 +7,7 @@
 // choice:
 //
 //   * SerialIoBackend ("serial", io_pool.h) — inline on the calling
-//     thread, one blocking read per request: the single-disk-at-a-time
+//     thread, one blocking ReadPages per batch: the single-disk-at-a-time
 //     baseline the paper's speedup figures compare against.
 //   * DiskIoPool ("threads", io_pool.h) — one blocking worker thread per
 //     disk, the wall-clock form of the paper's per-spindle FCFS queues.
@@ -22,6 +22,7 @@
 #ifndef SQP_EXEC_IO_BACKEND_H_
 #define SQP_EXEC_IO_BACKEND_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,6 +31,12 @@
 #include "storage/page_store.h"
 
 namespace sqp::exec {
+
+// Per-disk bound on queued-but-unserved read batches (or, on the uring
+// backend's executors, merged runs) before SubmitBatchRead blocks the
+// submitter. Deliberately generous: the bound exists to cap memory and
+// surface overload as backpressure, not to throttle ordinary batches.
+inline constexpr size_t kIoQueueDepth = 1024;
 
 class IoBackend {
  public:

@@ -31,25 +31,18 @@ void SerialIoBackend::SubmitBatchRead(
     int disk, std::vector<storage::ReadRequest> requests,
     std::function<void(common::Status)> done) {
   SQP_CHECK(disk >= 0 && disk < num_disks());
-  common::Status status;
-  for (const storage::ReadRequest& r : requests) {
-    status = store_->ReadPages(std::span<const storage::ReadRequest>(&r, 1));
-    if (!status.ok()) break;
-  }
+  const common::Status status = store_->ReadPages(requests);
   completed_.fetch_add(1, std::memory_order_relaxed);
   done(status);
 }
 
 DiskIoPool::DiskIoPool(const storage::PageStore* store,
-                       obs::MetricsRegistry* metrics,
-                       const DiskIoPoolOptions& options)
+                       obs::MetricsRegistry* metrics)
     : store_(store) {
   SQP_CHECK(store != nullptr);
   const int num_disks = store->num_disks();
   SQP_CHECK(num_disks >= 1);
-  SQP_CHECK(options.max_queue_depth >= 1);
   metered_ = metrics != nullptr;
-  max_queue_depth_ = options.max_queue_depth;
   for (int d = 0; d < num_disks; ++d) {
     DiskQueue& q = queues_.emplace_back();
     if (metrics != nullptr) {
@@ -98,14 +91,13 @@ void DiskIoPool::SubmitBatchRead(int disk,
   if (metered_) queued.enqueue_s = NowSeconds();
   std::unique_lock<std::mutex> lock(q.mu);
   SQP_CHECK(!q.stop);
-  if (q.jobs.size() >= max_queue_depth_) {
+  if (q.jobs.size() >= kIoQueueDepth) {
     // Overloaded: stall the submitting query thread until the worker
     // drains a slot. Workers never submit, so this cannot deadlock.
     ++q.backpressure_waits;
     if (q.backpressure_total != nullptr) q.backpressure_total->Add(1);
-    q.space_cv.wait(lock, [this, &q] {
-      return q.stop || q.jobs.size() < max_queue_depth_;
-    });
+    q.space_cv.wait(lock,
+                    [&q] { return q.stop || q.jobs.size() < kIoQueueDepth; });
     SQP_CHECK(!q.stop);
   }
   q.jobs.push_back(std::move(queued));

@@ -20,17 +20,18 @@
 // batch is fully accounted before its completion runs, so a caller that
 // observes the completion also observes the counters.
 //
-// Queues are bounded (DiskIoPoolOptions::max_queue_depth).
+// Queues are bounded (kIoQueueDepth, io_backend.h).
 // SubmitBatchRead blocks the submitting query thread until space frees
 // up — backpressure instead of unbounded memory growth when queries
 // outrun the media — and counts each stall in
 // sqp_io_backpressure_waits_total{disk}. Workers never submit (the
 // blocking path would self-deadlock), and debug builds enforce it.
 //
-// SerialIoBackend bypasses all of that: each request is one blocking
-// read on the calling thread, so nothing overlaps — the
-// single-disk-at-a-time system the paper's speedup figures compare
-// against, which benchmarks use as their baseline.
+// SerialIoBackend bypasses all of that: each batch is one blocking
+// ReadPages call on the calling thread (offset-adjacent requests merge,
+// as on a worker), so nothing overlaps — the single-disk-at-a-time system
+// the paper's speedup figures compare against, which benchmarks use as
+// their baseline.
 
 #ifndef SQP_EXEC_IO_POOL_H_
 #define SQP_EXEC_IO_POOL_H_
@@ -50,7 +51,7 @@
 
 namespace sqp::exec {
 
-// Inline backend: SubmitBatchRead reads each request with its own
+// Inline backend: SubmitBatchRead reads the whole batch with one
 // ReadPages call on the calling thread, then runs `done` there.
 class SerialIoBackend : public IoBackend {
  public:
@@ -72,13 +73,6 @@ class SerialIoBackend : public IoBackend {
   std::atomic<uint64_t> completed_{0};
 };
 
-struct DiskIoPoolOptions {
-  // Per-disk queue capacity (batches queued, not counting the one in
-  // service). Deliberately generous: the bound exists to cap memory and
-  // surface overload, not to throttle ordinary batches.
-  size_t max_queue_depth = 1024;
-};
-
 class DiskIoPool : public IoBackend {
  public:
   // Starts one worker per disk of `store`, which must outlive the pool.
@@ -86,8 +80,7 @@ class DiskIoPool : public IoBackend {
   // registered on it; null runs unmetered (no timestamps taken on the hot
   // path).
   explicit DiskIoPool(const storage::PageStore* store,
-                      obs::MetricsRegistry* metrics = nullptr,
-                      const DiskIoPoolOptions& options = {});
+                      obs::MetricsRegistry* metrics = nullptr);
 
   // Drains every queue, then joins the workers.
   ~DiskIoPool() override;
@@ -99,8 +92,8 @@ class DiskIoPool : public IoBackend {
 
   int num_disks() const override { return static_cast<int>(queues_.size()); }
 
-  // Enqueues the batch on `disk`'s queue, blocking while the queue is at
-  // capacity. The batch's ReadPages and then `done` run on that disk's
+  // Enqueues the batch on `disk`'s queue, blocking while the queue holds
+  // kIoQueueDepth batches (not counting the one in service). The batch's ReadPages and then `done` run on that disk's
   // worker thread, in submission order.
   void SubmitBatchRead(int disk, std::vector<storage::ReadRequest> requests,
                        std::function<void(common::Status)> done) override;
@@ -146,7 +139,6 @@ class DiskIoPool : public IoBackend {
   std::deque<DiskQueue> queues_;
   std::vector<std::thread> workers_;
   bool metered_ = false;
-  size_t max_queue_depth_ = 0;
 };
 
 }  // namespace sqp::exec

@@ -53,9 +53,7 @@ const FlatNode* ShardedPageCache::ProbePinned(uint64_t key) {
 }
 
 const FlatNode* ShardedPageCache::InsertPinned(uint64_t key,
-                                               FlatNode node,
-                                               uint32_t span) {
-  SQP_CHECK(span >= 1);
+                                               FlatNode node) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.frames.find(key);
@@ -78,13 +76,11 @@ const FlatNode* ShardedPageCache::InsertPinned(uint64_t key,
   shard.lru.push_front(key);
   Frame& f = shard.frames[key];
   f.node = std::move(node);
-  f.span = span;
   f.pins = 1;
   f.lru_pos = shard.lru.begin();
-  shard.resident_pages += span;
   ++shard.insertions;
   if (m_insertions_ != nullptr) m_insertions_->Add(1);
-  if (m_resident_ != nullptr) m_resident_->Add(span);
+  if (m_resident_ != nullptr) m_resident_->Add(1);
   EvictLocked(shard);
   return &f.node;
 }
@@ -100,7 +96,7 @@ void ShardedPageCache::Unpin(uint64_t key) {
     EraseFrameLocked(shard, it);
     return;
   }
-  if (it->second.pins == 0 && shard.resident_pages > shard_capacity_) {
+  if (it->second.pins == 0 && shard.frames.size() > shard_capacity_) {
     EvictLocked(shard);
   }
 }
@@ -108,10 +104,7 @@ void ShardedPageCache::Unpin(uint64_t key) {
 void ShardedPageCache::EraseFrameLocked(
     Shard& shard, std::unordered_map<uint64_t, Frame>::iterator it) {
   SQP_DCHECK(it->second.pins == 0);
-  shard.resident_pages -= it->second.span;
-  if (m_resident_ != nullptr) {
-    m_resident_->Add(-static_cast<int64_t>(it->second.span));
-  }
+  if (m_resident_ != nullptr) m_resident_->Add(-1);
   shard.lru.erase(it->second.lru_pos);
   shard.frames.erase(it);
 }
@@ -149,12 +142,12 @@ void ShardedPageCache::InvalidateAll() {
 }
 
 void ShardedPageCache::EvictLocked(Shard& shard) {
-  if (shard.resident_pages <= shard_capacity_) return;
+  if (shard.frames.size() <= shard_capacity_) return;
   // Walk from the LRU end, skipping pinned frames. The newly inserted
   // frame sits at the MRU end and is pinned, so it is never its own
   // victim.
   auto pos = shard.lru.end();
-  while (shard.resident_pages > shard_capacity_ &&
+  while (shard.frames.size() > shard_capacity_ &&
          pos != shard.lru.begin()) {
     --pos;
     auto it = shard.frames.find(*pos);
@@ -163,10 +156,9 @@ void ShardedPageCache::EvictLocked(Shard& shard) {
       if (m_pinned_skips_ != nullptr) m_pinned_skips_->Add(1);
       continue;
     }
-    shard.resident_pages -= it->second.span;
     ++shard.evictions;
     if (m_evictions_ != nullptr) m_evictions_->Add(1);
-    if (m_resident_ != nullptr) m_resident_->Add(-static_cast<int64_t>(it->second.span));
+    if (m_resident_ != nullptr) m_resident_->Add(-1);
     pos = shard.lru.erase(pos);
     shard.frames.erase(it);
   }
@@ -180,7 +172,7 @@ PageCacheStats ShardedPageCache::GetStats() const {
     stats.misses += shard.misses;
     stats.insertions += shard.insertions;
     stats.evictions += shard.evictions;
-    stats.resident_pages += shard.resident_pages;
+    stats.resident_pages += shard.frames.size();
     stats.invalidations += shard.invalidations;
   }
   return stats;

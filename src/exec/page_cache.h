@@ -8,9 +8,9 @@
 // flattened once per residency, not once per visit), and its lock
 // sharding is what keeps dozens of query threads from serializing on one
 // mutex. Entries are pinned while a query is processing them, so eviction
-// can never free a node out from under an OnPagesFetched callback;
-// capacity is accounted in disk pages (a supernode record occupies its
-// span, like on the media).
+// can never free a node out from under an OnPagesFetched callback. One
+// frame holds one node, which is one disk page, so capacity is a frame
+// count.
 //
 // Keys are PHYSICAL LOCATIONS, not PageIds. The tree reuses PageIds after
 // a delete and the durable write path (storage::MutableIndex) moves a
@@ -47,9 +47,10 @@ namespace sqp::exec {
 using FlatNode = core::FlatNode;
 
 struct PageCacheOptions {
-  // Total capacity in disk pages, split evenly across shards. Pinned
-  // entries may transiently push a shard past its share (they are never
-  // evicted), so this is a target, not a hard ceiling.
+  // Total capacity in frames (one node, one disk page each), split evenly
+  // across shards. Pinned entries may transiently push a shard past its
+  // share (they are never evicted), so this is a target, not a hard
+  // ceiling.
   size_t capacity_pages = 4096;
   // Power of two recommended. One mutex + LRU list per shard.
   int shards = 16;
@@ -99,8 +100,8 @@ class ShardedPageCache {
   // Makes `key` resident with the given decoded contents and returns it
   // pinned. If another thread inserted `key` first, the existing entry wins
   // (the engine may decode the same missed page twice under contention)
-  // and `node` is discarded. `span` is the record's size in disk pages.
-  const FlatNode* InsertPinned(uint64_t key, FlatNode node, uint32_t span);
+  // and `node` is discarded.
+  const FlatNode* InsertPinned(uint64_t key, FlatNode node);
 
   // Releases one pin taken by LookupPinned/InsertPinned.
   void Unpin(uint64_t key);
@@ -130,7 +131,6 @@ class ShardedPageCache {
  private:
   struct Frame {
     FlatNode node;
-    uint32_t span = 1;
     int pins = 0;
     // Invalidated while pinned; erased on the last Unpin, hidden from
     // every lookup until then.
@@ -142,7 +142,6 @@ class ShardedPageCache {
     mutable std::mutex mu;
     std::unordered_map<uint64_t, Frame> frames;
     std::list<uint64_t> lru;  // front = MRU
-    size_t resident_pages = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;

@@ -155,7 +155,7 @@ ParallelQueryEngine::ParallelQueryEngine(
         metrics_->GetHistogram("sqp_engine_query_latency_seconds",
                                obs::MetricsRegistry::LatencyBuckets());
     // Activation batches: 1..128 pages in power-of-two buckets (the
-    // paper's batch sizes are bounded by the disk count times the span).
+    // paper's batch sizes are bounded by the node's fanout).
     instr_.batch_pages = metrics_->GetHistogram(
         "sqp_engine_batch_pages", obs::MetricsRegistry::PowerOfTwoBuckets(8));
   }
@@ -169,10 +169,7 @@ ParallelQueryEngine::ParallelQueryEngine(
   if (options.io_backend == IoBackendKind::kSerial) {
     io_pool_ = std::make_unique<SerialIoBackend>(reader_->store());
   } else if (options.io_backend == IoBackendKind::kUring) {
-    UringBackendOptions uring_options;
-    uring_options.max_queue_depth = options.io_queue_depth;
-    auto uring =
-        UringIoBackend::Create(reader_->store(), metrics_, uring_options);
+    auto uring = UringIoBackend::Create(reader_->store(), metrics_);
     if (uring.ok()) {
       io_pool_ = std::move(*uring);
     } else {
@@ -180,10 +177,7 @@ ParallelQueryEngine::ParallelQueryEngine(
     }
   }
   if (io_pool_ == nullptr) {
-    DiskIoPoolOptions pool_options;
-    pool_options.max_queue_depth = options.io_queue_depth;
-    io_pool_ = std::make_unique<DiskIoPool>(reader_->store(), metrics_,
-                                            pool_options);
+    io_pool_ = std::make_unique<DiskIoPool>(reader_->store(), metrics_);
   }
 }
 
@@ -231,7 +225,7 @@ common::Status ParallelQueryEngine::FetchBatch(
         span->pages_per_disk.assign(
             static_cast<size_t>(reader_->num_disks()), 0);
       }
-      span->pages_per_disk[static_cast<size_t>(locs[i].disk)] += locs[i].span;
+      ++span->pages_per_disk[static_cast<size_t>(locs[i].disk)];
     }
     misses_by_disk[locs[i].disk].push_back(i);
   }
@@ -280,8 +274,7 @@ common::Status ParallelQueryEngine::FetchBatch(
                 result = flat.status();
                 break;
               }
-              (*slots)[i] = cache_->InsertPinned(
-                  (*keys)[i], std::move(*flat), plan->locs[n].span);
+              (*slots)[i] = cache_->InsertPinned((*keys)[i], std::move(*flat));
               coalescer_.Complete((*keys)[i], common::Status::OK());
             }
           }
@@ -542,11 +535,10 @@ QueryOutcome ParallelQueryEngine::RunTraversalImpl(
     }
     std::vector<core::FetchedPage> pages;
     pages.reserve(step.requests.size());
-    uint32_t step_pages = 0;
     for (size_t i = 0; i < step.requests.size(); ++i) {
       pages.push_back({step.requests[i], slots[i]});
-      step_pages += layout->pages[step.requests[i]].span;
     }
+    const uint32_t step_pages = static_cast<uint32_t>(pages.size());
     answer.pages_fetched += step_pages;
     if (instr_.pages_fetched != nullptr) {
       instr_.pages_fetched->Add(step_pages);

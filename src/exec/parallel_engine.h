@@ -51,7 +51,7 @@ namespace sqp::exec {
 // and records why (io_backend_fallback_reason()). Results are
 // bit-identical across backends.
 enum class IoBackendKind {
-  kSerial,   // SerialIoBackend: one blocking read per page on the query
+  kSerial,   // SerialIoBackend: each batch read inline on the query
              // thread, nothing overlaps — the paper's baseline
   kThreads,  // DiskIoPool: one blocking worker thread per disk
   kUring,    // UringIoBackend: one completion reactor, io_uring submission
@@ -60,12 +60,10 @@ enum class IoBackendKind {
 struct EngineOptions {
   // Concurrent in-flight queries (query worker threads of RunBatch).
   int query_threads = 8;
-  // Page cache capacity in disk pages; 0 disables caching (every fetch
-  // reads the store).
+  // Page cache capacity in nodes (one disk page each); 0 disables caching
+  // (every fetch reads the store).
   size_t cache_pages = 4096;
   int cache_shards = 16;
-  // Per-disk I/O queue bound (see DiskIoPoolOptions::max_queue_depth).
-  size_t io_queue_depth = 1024;
   // Backend the per-disk read batches run on. See IoBackendKind.
   IoBackendKind io_backend = IoBackendKind::kThreads;
   // How hard the stored-index reader fights transient media faults

@@ -101,14 +101,14 @@ common::Result<rstar::Node> StoredIndexReader::DecodeRecord(
     const uint8_t* buf) const {
   const std::string what = "disk " + std::to_string(loc.disk) +
                            " node record for page " + std::to_string(id);
-  return storage::DecodeNode(buf, loc.span, layout_.tree_config.dim,
-                             layout_.page_size, id, what);
+  return storage::DecodeNode(buf, layout_.tree_config.dim, layout_.page_size,
+                             id, what);
 }
 
 common::Result<rstar::Node> StoredIndexReader::ReadOneWithRetry(
     rstar::PageId id, const storage::PageLocation& loc, uint8_t* buf,
     IoFaultCounters* counters) const {
-  const size_t len = static_cast<size_t>(loc.span) * layout_.page_size;
+  const size_t len = layout_.page_size;
   const double retry_start_s =
       m_retry_seconds_ != nullptr ? NowSeconds() : 0.0;
   common::Status last;
@@ -173,28 +173,22 @@ common::Status StoredIndexReader::PlanBatchRead(
     std::span<const storage::PageLocation> locs, ReadBatchPlan* plan) const {
   SQP_CHECK(ids.size() == locs.size());
   const size_t page_size = layout_.page_size;
-  size_t total_bytes = 0;
-  for (const storage::PageLocation& loc : locs) {
-    if (loc.span == 0) {
+  plan->ids.assign(ids.begin(), ids.end());
+  plan->locs.assign(locs.begin(), locs.end());
+  plan->bytes.resize(locs.size() * page_size);
+  plan->requests.clear();
+  plan->requests.reserve(ids.size());
+  for (size_t i = 0; i < locs.size(); ++i) {
+    if (!locs[i].live) {
       return common::Status::InvalidArgument(
           "read requested for a freed page location");
     }
-    total_bytes += static_cast<size_t>(loc.span) * page_size;
-  }
-  plan->ids.assign(ids.begin(), ids.end());
-  plan->locs.assign(locs.begin(), locs.end());
-  plan->bytes.resize(total_bytes);
-  plan->requests.clear();
-  plan->requests.reserve(ids.size());
-  size_t pos = 0;
-  for (const storage::PageLocation& loc : locs) {
     storage::ReadRequest r;
-    r.disk = loc.disk;
-    r.offset = loc.offset;
-    r.buf = plan->bytes.data() + pos;
-    r.len = static_cast<size_t>(loc.span) * page_size;
+    r.disk = locs[i].disk;
+    r.offset = locs[i].offset;
+    r.buf = plan->bytes.data() + i * page_size;
+    r.len = page_size;
     plan->requests.push_back(r);
-    pos += r.len;
   }
   plan->planned_media_reads = storage::PlanReadRuns(plan->requests).size();
   media_reads_.fetch_add(plan->planned_media_reads,
@@ -252,11 +246,11 @@ common::Result<rstar::Node> StoredIndexReader::FinishNodeRecord(
     node = ReadOneWithRetry(id, loc, buf, counters);
     if (!node.ok()) return node.status();
   }
-  // Delivered: count the record once, under its disk, so the per-disk
-  // page totals sum to exactly what the engine fetched from the store.
+  // Delivered: count the node once, under its disk, so the per-disk
+  // page totals sum to exactly the nodes the engine read from the store.
   if (m_records_ != nullptr) {
     m_records_->Add(1);
-    m_pages_by_disk_[static_cast<size_t>(loc.disk)]->Add(loc.span);
+    m_pages_by_disk_[static_cast<size_t>(loc.disk)]->Add(1);
   }
   return node;
 }

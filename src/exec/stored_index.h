@@ -70,10 +70,10 @@ struct ReaderFaultTotals {
 bool IsRetryableReadError(const common::Status& s);
 
 // A batched read split into its plan and its finish. PlanBatchRead sizes
-// one contiguous buffer and lays one ReadRequest per record into it; the
-// caller then executes the requests however it likes — the reader's own
-// ReadPages call, or the engine's I/O backend — and finishes each
-// record with FinishNodeRecord / FinishFlatRecord, which carry the exact
+// one contiguous buffer and lays one page-sized ReadRequest per node into
+// it; the caller then executes the requests however it likes — the
+// reader's own ReadPages call, or the engine's I/O backend — and finishes
+// each node with FinishNodeRecord / FinishFlatRecord, which carry the exact
 // decode / fault-count / retry-fallback semantics of ReadNodesAt.
 //
 // `requests[i].buf` points into `bytes`, so a plan may be MOVED but never
@@ -136,7 +136,7 @@ class StoredIndexReader {
   // Location-explicit form: reads the record for `ids[i]` at `locs[i]`
   // instead of resolving through the reader's own layout. Same batching,
   // retry and fault semantics as ReadNodes. `locs` must align with `ids`
-  // and every span must be nonzero.
+  // and every location must be live.
   common::Status ReadNodesAt(std::span<const rstar::PageId> ids,
                              std::span<const storage::PageLocation> locs,
                              std::vector<rstar::Node>* out,
@@ -195,8 +195,8 @@ class StoredIndexReader {
                     storage::IndexLayout layout, RetryPolicy retry)
       : store_(store), layout_(std::move(layout)), retry_(retry) {}
 
-  // Reads + decodes one record with the retry loop; `buf` is scratch of
-  // at least span * page_size bytes.
+  // Reads + decodes one node with the retry loop; `buf` is scratch of at
+  // least page_size bytes.
   common::Result<rstar::Node> ReadOneWithRetry(
       rstar::PageId id, const storage::PageLocation& loc, uint8_t* buf,
       IoFaultCounters* counters) const;

@@ -37,6 +37,13 @@ namespace {
 
 #if defined(SQP_HAVE_IO_URING)
 
+// Submission queue depth requested from the kernel (rounded up to a power
+// of two), shared by every disk.
+constexpr unsigned kRingEntries = 256;
+// Deep per-disk in-flight window: how many merged runs of one disk may sit
+// in the ring at once. Clamped so all disks together fit the ring.
+constexpr int kMaxInflightPerDisk = 16;
+
 double NowSeconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -112,7 +119,6 @@ struct UringIoBackend::Impl {
   // ---- fixed configuration (set once in Create) ------------------------
   const storage::PageStore* store = nullptr;
   int disks = 0;
-  UringBackendOptions options;
   bool metered = false;
   bool fd_mode = false;      // every disk handed out a raw fd -> real ring
   bool fixed_files = false;  // fds registered (IOSQE_FIXED_FILE)
@@ -221,7 +227,7 @@ struct UringIoBackend::Impl {
   common::Status SetupRing() {
     struct io_uring_params p;
     std::memset(&p, 0, sizeof(p));
-    ring_fd = SysUringSetup(options.ring_entries, &p);
+    ring_fd = SysUringSetup(kRingEntries, &p);
     if (ring_fd < 0) {
       return common::Status::Unavailable(std::string("io_uring_setup: ") +
                                          std::strerror(errno));
@@ -568,7 +574,7 @@ struct UringIoBackend::Impl {
     DiskIntake& q = intake[static_cast<size_t>(disk)];
     std::unique_lock<std::mutex> lock(q.mu);
     SQP_CHECK(!stop.load(std::memory_order_acquire));
-    while (q.runs.size() >= options.max_queue_depth) {
+    while (q.runs.size() >= kIoQueueDepth) {
       backpressure.fetch_add(1, std::memory_order_relaxed);
       if (m_backpressure[static_cast<size_t>(disk)] != nullptr) {
         m_backpressure[static_cast<size_t>(disk)]->Add(1);
@@ -582,12 +588,8 @@ struct UringIoBackend::Impl {
 };
 
 common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
-    const storage::PageStore* store, obs::MetricsRegistry* metrics,
-    const UringBackendOptions& options) {
+    const storage::PageStore* store, obs::MetricsRegistry* metrics) {
   SQP_CHECK(store != nullptr);
-  SQP_CHECK(options.ring_entries >= 2);
-  SQP_CHECK(options.max_inflight_per_disk >= 1);
-  SQP_CHECK(options.max_queue_depth >= 1);
   UringProbe probe = ProbeIoUring();
   if (!probe.available) {
     return common::Status::Unavailable("io_uring unavailable: " +
@@ -601,7 +603,6 @@ common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
   auto impl = std::make_unique<Impl>();
   impl->store = store;
   impl->disks = disks;
-  impl->options = options;
   impl->metered = metrics != nullptr;
   impl->raw_fds.resize(static_cast<size_t>(disks), -1);
   impl->fd_mode = true;
@@ -617,14 +618,14 @@ common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
     const int cq_share =
         static_cast<int>((impl->cq_entries - 1) / static_cast<unsigned>(disks));
     impl->inflight_window =
-        std::max(1, std::min(options.max_inflight_per_disk, cq_share));
+        std::max(1, std::min(kMaxInflightPerDisk, cq_share));
   }
   impl->run_queue.resize(static_cast<size_t>(disks));
   impl->inflight.assign(static_cast<size_t>(disks), 0);
   // Executors honor the same per-disk window as the ring, capped so a
   // decorated store cannot fan a pathological batch into dozens of lazy
   // threads per disk.
-  impl->exec_window = std::max(1, std::min(options.max_inflight_per_disk, 8));
+  impl->exec_window = std::min(kMaxInflightPerDisk, 8);
   for (int d = 0; d < disks; ++d) impl->intake.emplace_back();
 
   impl->m_jobs.assign(static_cast<size_t>(disks), nullptr);
@@ -747,7 +748,7 @@ void UringIoBackend::SubmitBatchRead(
     Impl::DiskIntake& q = im->intake[static_cast<size_t>(disk)];
     std::unique_lock<std::mutex> lock(q.mu);
     SQP_CHECK(!im->stop.load(std::memory_order_acquire));
-    while (q.batches.size() >= im->options.max_queue_depth) {
+    while (q.batches.size() >= kIoQueueDepth) {
       im->backpressure.fetch_add(1, std::memory_order_relaxed);
       if (im->m_backpressure[static_cast<size_t>(disk)] != nullptr) {
         im->m_backpressure[static_cast<size_t>(disk)]->Add(1);
@@ -786,11 +787,9 @@ uint64_t UringIoBackend::reads_completed() const {
 struct UringIoBackend::Impl {};
 
 common::Result<std::unique_ptr<UringIoBackend>> UringIoBackend::Create(
-    const storage::PageStore* store, obs::MetricsRegistry* metrics,
-    const UringBackendOptions& options) {
+    const storage::PageStore* store, obs::MetricsRegistry* metrics) {
   (void)store;
   (void)metrics;
-  (void)options;
   return common::Status::Unavailable("io_uring unavailable: " +
                                      ProbeIoUring().detail);
 }

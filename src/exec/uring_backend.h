@@ -9,7 +9,8 @@
 //     runs (storage::PlanReadRuns — the same plan FilePageStore
 //     executes) and submitted as vectored READV SQEs against the store's
 //     registered file descriptors, up to a deep per-disk in-flight
-//     window;
+//     window (16 runs, clamped so every disk's window fits the 256-entry
+//     ring's completion queue);
 //   * the reactor reaps CQEs and invokes the batch's completion callback
 //     directly — the waiting traversal step is resumed from the
 //     completion, no thread ever blocks in pread.
@@ -61,19 +62,6 @@ struct UringProbe {
 // Cheap (one setup/close syscall pair); callers may cache the result.
 UringProbe ProbeIoUring();
 
-struct UringBackendOptions {
-  // Submission queue depth requested from the kernel (rounded up to a
-  // power of two). Shared by every disk.
-  unsigned ring_entries = 256;
-  // Deep per-disk in-flight window: how many merged runs of one disk may
-  // sit in the ring at once. Clamped so all disks together fit the ring.
-  int max_inflight_per_disk = 16;
-  // Queued-but-unsubmitted batches (or executor runs) per disk before
-  // SubmitBatchRead blocks (backpressure), as
-  // DiskIoPoolOptions::max_queue_depth.
-  size_t max_queue_depth = 1024;
-};
-
 class UringIoBackend final : public IoBackend {
  public:
   // Fails (kUnavailable) when io_uring is compiled out, the runtime
@@ -83,8 +71,7 @@ class UringIoBackend final : public IoBackend {
   // executors (see file comment). `metrics` may be null (unmetered).
   static common::Result<std::unique_ptr<UringIoBackend>> Create(
       const storage::PageStore* store,
-      obs::MetricsRegistry* metrics = nullptr,
-      const UringBackendOptions& options = {});
+      obs::MetricsRegistry* metrics = nullptr);
 
   // Drains all queued batches, then joins the reactor and executors.
   ~UringIoBackend() override;

@@ -32,7 +32,7 @@ struct TraceSpan {
   const char* algo = "";
   uint32_t step = 0;            // activation batch index within the query
   uint32_t batch_requests = 0;  // page ids requested this step
-  uint32_t pages = 0;           // disk pages covered (supernode spans count)
+  uint32_t pages = 0;           // nodes fetched (one disk page each)
   uint32_t cache_hits = 0;
   uint32_t cache_misses = 0;
   uint64_t io_faults = 0;

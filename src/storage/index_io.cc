@@ -51,15 +51,14 @@ constexpr size_t kSbMirrored = 139;
 // The bootstrap prefix must reach kSbNumDisks + 4.
 constexpr size_t kBootstrapBytes = 64;
 
-// Directory record layout (20 bytes).
+// Directory record layout (18 bytes).
 constexpr size_t kDirPageId = 0;
 constexpr size_t kDirLocalIndex = 4;
 constexpr size_t kDirCylinder = 8;
 constexpr size_t kDirMirror = 12;
-constexpr size_t kDirSpan = 16;
-constexpr size_t kDirFlags = 18;
-constexpr size_t kDirLevel = 19;
-constexpr size_t kDirRecordBytes = 20;
+constexpr size_t kDirFlags = 16;
+constexpr size_t kDirLevel = 17;
+constexpr size_t kDirRecordBytes = 18;
 constexpr uint8_t kDirFlagReplica = 1;
 
 size_t DirRecordsPerPage(size_t page_size) {
@@ -167,11 +166,11 @@ common::Status DecodeSuperblock(const uint8_t* page, size_t page_size,
   if (!config_ok) {
     return CorruptionError(what + ": configuration fields out of range");
   }
-  if (sb->page_size < static_cast<uint32_t>(kPageHeaderBytes) +
-                          EntryRecordBytes(t.dim) ||
-      sb->page_size < 256) {
-    return CorruptionError(what + ": page size too small for dim " +
-                           std::to_string(t.dim));
+  if (sb->page_size < 256) {
+    return CorruptionError(what + ": page size too small");
+  }
+  if (common::Status fits = CheckOneNodePerPage(t); !fits.ok()) {
+    return common::Status::InvalidArgument(what + ": " + fits.message());
   }
   if (sb->page_slots < 1 || sb->root >= sb->page_slots ||
       sb->live_pages < 1 || sb->live_pages > sb->page_slots) {
@@ -230,10 +229,9 @@ bool SuperblocksAgree(const Superblock& a, const Superblock& b) {
          a.decluster.mirrored == b.decluster.mirrored;
 }
 
-// One node record scheduled for a disk file.
+// One node page scheduled for a disk file.
 struct RecordPlan {
   PageId page = rstar::kInvalidPage;
-  uint32_t span = 1;
   uint32_t local_index = 0;  // filled in during layout
   int mirror = -1;
   int cylinder = 0;
@@ -247,7 +245,6 @@ struct DirRecord {
   uint32_t local_index = 0;
   uint32_t cylinder = 0;
   int32_t mirror = -1;
-  uint16_t span = 0;
   uint8_t flags = 0;
   uint8_t level = 0;
 };
@@ -288,10 +285,11 @@ common::Status ReadDiskDirectory(const PageStore& store, int d,
         ReadExact(store, d, (1 + p) * page_size, page, page_size, dir_tag));
     SQP_RETURN_IF_ERROR(
         CheckPage(page, page_size, PageType::kDirectory, dir_tag));
+    // A directory page carries its position in the header's page id, so
+    // a page out of place is caught.
     const PageHeader h = ReadPageHeader(page);
-    if (h.span != sb->dir_page_count || h.seq != p ||
-        h.entry_count > dir_per_page) {
-      return CorruptionError(dir_tag + ": directory chain mismatch");
+    if (h.page_id != p || h.entry_count > dir_per_page) {
+      return CorruptionError(dir_tag + ": directory page out of place");
     }
     const uint8_t* rec = page + kPageHeaderBytes;
     for (uint32_t i = 0; i < h.entry_count; ++i, rec += kDirRecordBytes) {
@@ -300,7 +298,6 @@ common::Status ReadDiskDirectory(const PageStore& store, int d,
       r.local_index = GetU32(rec + kDirLocalIndex);
       r.cylinder = GetU32(rec + kDirCylinder);
       r.mirror = GetI32(rec + kDirMirror);
-      r.span = GetU16(rec + kDirSpan);
       r.flags = rec[kDirFlags];
       r.level = rec[kDirLevel];
       records->push_back(r);
@@ -395,6 +392,7 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
   const rstar::RStarTree& tree = index.tree();
   const parallel::DiskAssigner& placement = index.placement();
   const TreeConfig& cfg = tree.config();
+  SQP_RETURN_IF_ERROR(CheckOneNodePerPage(cfg));
   const size_t page_size = static_cast<size_t>(cfg.page_size_bytes);
   const int num_disks = index.num_disks();
   if (store->num_disks() != num_disks) {
@@ -403,7 +401,7 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
         " disks, index needs " + std::to_string(num_disks));
   }
 
-  // Plan: group node records per disk — primaries where the assigner
+  // Plan: group node pages per disk — primaries where the assigner
   // placed them, replicas on their mirror disk.
   const std::vector<PageId> live = tree.LiveNodeIds();
   PageId page_slots = 0;
@@ -414,7 +412,6 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
     const Node& n = tree.node(id);
     RecordPlan plan;
     plan.page = id;
-    plan.span = NodeSpan(n, cfg.dim, page_size);
     plan.mirror = placement.MirrorOf(id);
     plan.cylinder = placement.CylinderOf(id);
     plan.level = static_cast<uint8_t>(n.level);
@@ -452,10 +449,7 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
     const uint32_t dir_pages = static_cast<uint32_t>(
         (records.size() + dir_per_page - 1) / dir_per_page);
     uint32_t next_page = 1 + dir_pages;
-    for (RecordPlan& r : records) {
-      r.local_index = next_page;
-      next_page += r.span;
-    }
+    for (RecordPlan& r : records) r.local_index = next_page++;
 
     std::vector<uint8_t> file;
     file.reserve(static_cast<size_t>(next_page) * page_size);
@@ -473,10 +467,8 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
       const size_t count = std::min(dir_per_page, records.size() - first);
       PageHeader h;
       h.type = PageType::kDirectory;
+      h.page_id = p;
       h.entry_count = static_cast<uint32_t>(count);
-      h.total_entries = static_cast<uint32_t>(records.size());
-      h.span = static_cast<uint16_t>(dir_pages);
-      h.seq = static_cast<uint16_t>(p);
       WritePageHeader(h, page);
       uint8_t* rec = page + kPageHeaderBytes;
       for (size_t i = 0; i < count; ++i, rec += kDirRecordBytes) {
@@ -485,13 +477,12 @@ common::Status SaveIndex(const ParallelRStarTree& index, PageStore* store,
         PutU32(rec + kDirLocalIndex, r.local_index);
         PutU32(rec + kDirCylinder, static_cast<uint32_t>(r.cylinder));
         PutI32(rec + kDirMirror, r.mirror);
-        PutU16(rec + kDirSpan, static_cast<uint16_t>(r.span));
         rec[kDirFlags] = r.replica ? kDirFlagReplica : 0;
         rec[kDirLevel] = r.level;
       }
       SealPage(page, page_size);
     }
-    // Node records.
+    // Node pages.
     for (const RecordPlan& r : records) {
       SQP_DCHECK(file.size() ==
                  static_cast<size_t>(r.local_index) * page_size);
@@ -534,14 +525,13 @@ common::Result<std::unique_ptr<ParallelRStarTree>> OpenIndex(
                              ": disagrees with disk 0 (mixed index files?)");
     }
 
-    // Node records. Replicas are recovery copies; primaries are
+    // Node pages. Replicas are recovery copies; primaries are
     // authoritative, so only those are decoded here.
-    std::vector<uint8_t> buf;
     for (const DirRecord& r : records) {
       if ((r.flags & kDirFlagReplica) != 0) continue;
       const std::string node_tag = DiskTag(d) + " node record for page " +
                                    std::to_string(r.page);
-      if (r.span < 1 || r.local_index < 1 + sb.dir_page_count) {
+      if (r.local_index < 1 + sb.dir_page_count) {
         return CorruptionError(node_tag + ": bad directory record");
       }
       if (r.page >= ref.page_slots) {
@@ -550,12 +540,11 @@ common::Result<std::unique_ptr<ParallelRStarTree>> OpenIndex(
       if (nodes[r.page] != nullptr) {
         return CorruptionError(node_tag + ": page stored twice");
       }
-      buf.resize(static_cast<size_t>(r.span) * page_size);
       SQP_RETURN_IF_ERROR(
           ReadExact(store, d, static_cast<uint64_t>(r.local_index) * page_size,
-                    buf.data(), buf.size(), node_tag));
-      auto decoded = DecodeNode(buf.data(), r.span, ref.tree.dim, page_size,
-                                r.page, node_tag);
+                    page.data(), page_size, node_tag));
+      auto decoded = DecodeNode(page.data(), ref.tree.dim, page_size, r.page,
+                                node_tag);
       if (!decoded.ok()) return decoded.status();
       if (decoded->level != r.level) {
         return CorruptionError(node_tag +
@@ -621,19 +610,19 @@ common::Result<IndexLayout> ReadIndexLayout(const PageStore& store) {
       if ((r.flags & kDirFlagReplica) != 0) continue;
       const std::string tag = DiskTag(d) + " directory record for page " +
                               std::to_string(r.page);
-      if (r.span < 1 || r.local_index < 1 + sb.dir_page_count) {
+      if (r.local_index < 1 + sb.dir_page_count) {
         return CorruptionError(tag + ": bad directory record");
       }
       if (r.page >= ref.page_slots) {
         return CorruptionError(tag + ": page id out of range");
       }
       PageLocation& loc = layout.pages[r.page];
-      if (loc.span != 0) {
+      if (loc.live) {
         return CorruptionError(tag + ": page stored twice");
       }
       loc.disk = d;
       loc.offset = static_cast<uint64_t>(r.local_index) * page_size;
-      loc.span = r.span;
+      loc.live = true;
       loc.level = r.level;
       loc.mirror = r.mirror;
       loc.cylinder = r.cylinder;
@@ -645,8 +634,7 @@ common::Result<IndexLayout> ReadIndexLayout(const PageStore& store) {
         "index stores " + std::to_string(live) +
         " pages but superblock promises " + std::to_string(ref.live_pages));
   }
-  if (ref.root >= layout.pages.size() ||
-      layout.pages[ref.root].span == 0) {
+  if (!layout.IsLive(ref.root)) {
     return CorruptionError("root page " + std::to_string(ref.root) +
                            " missing from index");
   }

@@ -2,8 +2,9 @@
 //
 // Layout per disk file (all units = the tree's page size):
 //   page 0                superblock: config + root + counts + directory size
-//   pages 1..dir_pages    directory: one record per node record in this file
-//   remaining pages       node records (primary copies, then mirror replicas)
+//   pages 1..dir_pages    directory: one record per node page in this file
+//   remaining pages       one node per page (primary copies, then mirror
+//                         replicas)
 //
 // Every page that the DiskAssigner placed on disk d is serialized into
 // store disk d (replicas onto their mirror disk), so the byte layout
@@ -40,7 +41,9 @@ struct SaveIndexOptions {
 };
 
 // Serializes `index` into `store`, replacing its contents. The store must
-// have exactly index.num_disks() disks.
+// have exactly index.num_disks() disks. InvalidArgument when the tree's
+// config can build a node larger than one page (node_codec.h
+// CheckOneNodePerPage): supernodes, or a fanout floor above the page.
 common::Status SaveIndex(const parallel::ParallelRStarTree& index,
                          PageStore* store);
 common::Status SaveIndex(const parallel::ParallelRStarTree& index,
@@ -56,14 +59,14 @@ common::Status SaveIndex(const parallel::ParallelRStarTree& index,
 common::Result<std::unique_ptr<parallel::ParallelRStarTree>> OpenIndex(
     const PageStore& store);
 
-// Where one node record lives on the array: `span` whole pages starting at
-// byte `offset` of `disk`'s file. span == 0 marks a PageId with no record
-// (a free slot). `mirror` / `cylinder` carry the declustering placement so
-// a recovered layout can rebuild the DiskAssigner without the base tree.
+// Where one node lives on the array: the page starting at byte `offset` of
+// `disk`'s file. `live` is false for a PageId with no node (a free slot).
+// `mirror` / `cylinder` carry the declustering placement so a recovered
+// layout can rebuild the DiskAssigner without the base tree.
 struct PageLocation {
   int disk = -1;
   uint64_t offset = 0;
-  uint32_t span = 0;
+  bool live = false;
   uint8_t level = 0;
   int32_t mirror = -1;    // mirror disk, -1 when unmirrored
   uint32_t cylinder = 0;  // cylinder of the primary copy
@@ -95,7 +98,7 @@ struct IndexLayout {
   std::vector<PageLocation> pages;  // indexed by PageId
 
   bool IsLive(rstar::PageId id) const {
-    return id < pages.size() && pages[id].span > 0;
+    return id < pages.size() && pages[id].live;
   }
 };
 

@@ -45,11 +45,9 @@ void ApplyCommit(const WalCommit& commit, IndexLayout* layout) {
       layout->pages.resize(d.page + 1);
     }
     PageLocation& slot = layout->pages[d.page];
-    const bool was_live = slot.span > 0;
-    const bool now_live = d.loc.span > 0;
-    if (was_live && !now_live) --layout->live_pages;
-    if (!was_live && now_live) ++layout->live_pages;
-    slot = now_live ? d.loc : PageLocation{};
+    if (slot.live && !d.loc.live) --layout->live_pages;
+    if (!slot.live && d.loc.live) ++layout->live_pages;
+    slot = d.loc.live ? d.loc : PageLocation{};
   }
   layout->root = commit.root;
   layout->object_count = commit.object_count;
@@ -80,8 +78,7 @@ common::Result<std::unique_ptr<MutableIndex>> MutableIndex::Open(
   for (const WalCommit& commit : scan->records) {
     ApplyCommit(commit, &layout);
   }
-  if (layout.root >= layout.pages.size() ||
-      layout.pages[layout.root].span == 0) {
+  if (!layout.IsLive(layout.root)) {
     return CorruptionError("recovered root page " +
                            std::to_string(layout.root) + " is not live");
   }
@@ -93,14 +90,13 @@ common::Result<std::unique_ptr<MutableIndex>> MutableIndex::Open(
   const size_t page_size = layout.page_size;
   std::vector<std::unique_ptr<Node>> nodes(layout.pages.size());
   std::vector<PagePlacement> placements;
-  std::vector<uint8_t> buf;
+  std::vector<uint8_t> buf(page_size);
   for (PageId id = 0; id < layout.pages.size(); ++id) {
     const PageLocation& loc = layout.pages[id];
-    if (loc.span == 0) continue;
-    buf.resize(static_cast<size_t>(loc.span) * page_size);
+    if (!loc.live) continue;
     SQP_RETURN_IF_ERROR(
         data_store->ReadAt(loc.disk, loc.offset, buf.data(), buf.size()));
-    auto decoded = DecodeNode(buf.data(), loc.span, dim, page_size, id,
+    auto decoded = DecodeNode(buf.data(), dim, page_size, id,
                               "recovered page " + std::to_string(id));
     if (!decoded.ok()) return decoded.status();
     nodes[id] = std::make_unique<Node>(std::move(*decoded));
@@ -229,9 +225,7 @@ common::Status MutableIndex::CommitLocked(
   uint64_t pages_written = 0;
   for (PageId id : touched) {
     const PageLocation* old = nullptr;
-    if (id < cur.pages.size() && cur.pages[id].span > 0) {
-      old = &cur.pages[id];
-    }
+    if (cur.IsLive(id)) old = &cur.pages[id];
     WalPageDelta delta;
     delta.page = id;
     if (index_->placement().IsLive(id)) {
@@ -244,7 +238,7 @@ common::Status MutableIndex::CommitLocked(
       EncodeNode(n, dim, page_size, &buf);
       delta.loc.disk = disk;
       delta.loc.offset = tails_[static_cast<size_t>(disk)];
-      delta.loc.span = static_cast<uint32_t>(buf.size() / page_size);
+      delta.loc.live = true;
       delta.loc.level = static_cast<uint8_t>(n.level);
       delta.loc.mirror = mirror;
       delta.loc.cylinder =
@@ -267,7 +261,7 @@ common::Status MutableIndex::CommitLocked(
     } else if (old == nullptr) {
       continue;  // created and freed within this op: no durable trace
     }
-    // else: freed page, delta.loc stays span == 0
+    // else: freed page, delta.loc stays !live
     if (old != nullptr) superseded.push_back(PageLocationKey(*old));
     commit.deltas.push_back(std::move(delta));
   }

@@ -1,6 +1,5 @@
 #include "storage/node_codec.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -9,145 +8,126 @@
 
 namespace sqp::storage {
 
-size_t EntryRecordBytes(int dim) { return 8 * static_cast<size_t>(dim) + 12; }
+size_t EntryRecordBytes(int dim) { return 8 * static_cast<size_t>(dim) + 8; }
 
 size_t EntriesPerPage(int dim, size_t page_size) {
-  SQP_CHECK(page_size > kPageHeaderBytes + EntryRecordBytes(dim));
+  if (page_size < kPageHeaderBytes) return 0;
   return (page_size - kPageHeaderBytes) / EntryRecordBytes(dim);
 }
 
-uint32_t NodeSpan(const rstar::Node& node, int dim, size_t page_size) {
-  const size_t per_page = EntriesPerPage(dim, page_size);
-  const size_t span = (node.entries.size() + per_page - 1) / per_page;
-  return span < 1 ? 1 : static_cast<uint32_t>(span);
+common::Status CheckOneNodePerPage(const rstar::TreeConfig& config) {
+  if (config.allow_supernodes) {
+    return common::Status::InvalidArgument(
+        "X-tree supernodes span several pages; a stored index holds one "
+        "node per page (build it with allow_supernodes = false)");
+  }
+  const size_t per_page = EntriesPerPage(
+      config.dim, static_cast<size_t>(config.page_size_bytes));
+  if (per_page < static_cast<size_t>(config.MaxEntries())) {
+    return common::Status::InvalidArgument(
+        "a full node of " + std::to_string(config.MaxEntries()) +
+        " entries does not fit one " +
+        std::to_string(config.page_size_bytes) + "-byte page at dim " +
+        std::to_string(config.dim) + " (the page holds " +
+        std::to_string(per_page) + "); use larger pages");
+  }
+  return common::Status::OK();
 }
 
 void EncodeNode(const rstar::Node& node, int dim, size_t page_size,
                 std::vector<uint8_t>* out) {
-  const size_t per_page = EntriesPerPage(dim, page_size);
   const size_t record_bytes = EntryRecordBytes(dim);
-  const uint32_t span = NodeSpan(node, dim, page_size);
+  SQP_CHECK(node.entries.size() <= EntriesPerPage(dim, page_size));
   const size_t base = out->size();
-  out->resize(base + static_cast<size_t>(span) * page_size, 0);
+  out->resize(base + page_size, 0);
+  uint8_t* page = out->data() + base;
 
-  size_t next_entry = 0;
-  for (uint32_t seq = 0; seq < span; ++seq) {
-    uint8_t* page = out->data() + base + static_cast<size_t>(seq) * page_size;
-    const size_t in_page =
-        std::min(per_page, node.entries.size() - next_entry);
-    PageHeader h;
-    h.type = seq == 0 ? PageType::kNode : PageType::kNodeContinuation;
-    h.level = static_cast<uint8_t>(node.level);
-    h.page_id = node.id;
-    h.entry_count = static_cast<uint32_t>(in_page);
-    h.total_entries = static_cast<uint32_t>(node.entries.size());
-    h.span = static_cast<uint16_t>(span);
-    h.seq = static_cast<uint16_t>(seq);
-    WritePageHeader(h, page);
+  PageHeader h;
+  h.type = PageType::kNode;
+  h.level = static_cast<uint8_t>(node.level);
+  h.page_id = node.id;
+  h.entry_count = static_cast<uint32_t>(node.entries.size());
+  WritePageHeader(h, page);
 
-    uint8_t* rec = page + kPageHeaderBytes;
-    for (size_t i = 0; i < in_page; ++i, ++next_entry, rec += record_bytes) {
-      const rstar::Entry& e = node.entries[next_entry];
-      SQP_DCHECK(e.mbr.dim() == dim);
-      for (int c = 0; c < dim; ++c) PutF32(rec + 4 * c, e.mbr.lo()[c]);
-      for (int c = 0; c < dim; ++c) {
-        PutF32(rec + 4 * (dim + c), e.mbr.hi()[c]);
-      }
-      const uint64_t ref = node.IsLeaf() ? e.object
-                                         : static_cast<uint64_t>(e.child);
-      PutU64(rec + 8 * dim, ref);
-      PutU32(rec + 8 * dim + 8, e.count);
+  uint8_t* rec = page + kPageHeaderBytes;
+  for (const rstar::Entry& e : node.entries) {
+    SQP_DCHECK(e.mbr.dim() == dim);
+    for (int c = 0; c < dim; ++c) PutF32(rec + 4 * c, e.mbr.lo()[c]);
+    for (int c = 0; c < dim; ++c) PutF32(rec + 4 * (dim + c), e.mbr.hi()[c]);
+    if (node.IsLeaf()) {
+      SQP_DCHECK(e.count == 1);
+      PutU64(rec + 8 * dim, e.object);
+    } else {
+      PutU32(rec + 8 * dim, e.child);
+      PutU32(rec + 8 * dim + 4, e.count);
     }
-    SealPage(page, page_size);
+    rec += record_bytes;
   }
-  SQP_DCHECK(next_entry == node.entries.size());
+  SealPage(page, page_size);
 }
 
-common::Result<rstar::Node> DecodeNode(const uint8_t* data, uint32_t span,
-                                       int dim, size_t page_size,
+common::Result<rstar::Node> DecodeNode(const uint8_t* page, int dim,
+                                       size_t page_size,
                                        rstar::PageId expected_id,
                                        const std::string& what) {
+  SQP_RETURN_IF_ERROR(CheckPage(page, page_size, PageType::kNode, what));
+  const PageHeader h = ReadPageHeader(page);
+  if (h.page_id != expected_id) {
+    return CorruptionError(what + ": page holds node " +
+                           std::to_string(h.page_id));
+  }
+  // Bound before reserving: a crafted-but-checksummed header could
+  // otherwise demand a multi-gigabyte allocation.
   const size_t per_page = EntriesPerPage(dim, page_size);
-  const size_t record_bytes = EntryRecordBytes(dim);
-  if (span < 1) return CorruptionError(what + ": zero-page node record");
+  if (h.entry_count > per_page) {
+    return CorruptionError(what + ": entry count " +
+                           std::to_string(h.entry_count) +
+                           " exceeds page capacity " +
+                           std::to_string(per_page));
+  }
 
   rstar::Node node;
   node.id = expected_id;
-  uint32_t total_entries = 0;
-  for (uint32_t seq = 0; seq < span; ++seq) {
-    const uint8_t* page = data + static_cast<size_t>(seq) * page_size;
-    const PageType expected_type =
-        seq == 0 ? PageType::kNode : PageType::kNodeContinuation;
-    SQP_RETURN_IF_ERROR(CheckPage(page, page_size, expected_type, what));
-    const PageHeader h = ReadPageHeader(page);
-    if (h.page_id != expected_id || h.span != span || h.seq != seq) {
-      return CorruptionError(what + ": node record chain mismatch (page " +
-                             std::to_string(h.page_id) + " seq " +
-                             std::to_string(h.seq) + "/" +
-                             std::to_string(h.span) + ")");
-    }
-    if (seq == 0) {
-      // Bound before reserving: a crafted-but-checksummed header could
-      // otherwise demand a multi-gigabyte allocation.
-      if (h.total_entries > static_cast<uint64_t>(span) * per_page) {
-        return CorruptionError(
-            what + ": total entry count " + std::to_string(h.total_entries) +
-            " exceeds record capacity " +
-            std::to_string(static_cast<uint64_t>(span) * per_page));
+  node.level = h.level;
+  node.entries.reserve(h.entry_count);
+  const size_t record_bytes = EntryRecordBytes(dim);
+  const uint8_t* rec = page + kPageHeaderBytes;
+  for (uint32_t i = 0; i < h.entry_count; ++i, rec += record_bytes) {
+    std::vector<geometry::Coord> lo(static_cast<size_t>(dim));
+    std::vector<geometry::Coord> hi(static_cast<size_t>(dim));
+    for (int c = 0; c < dim; ++c) {
+      const float l = GetF32(rec + 4 * c);
+      const float u = GetF32(rec + 4 * (dim + c));
+      if (std::isnan(l) || std::isnan(u) || l > u) {
+        return CorruptionError(what + ": invalid MBR in entry " +
+                               std::to_string(i));
       }
-      node.level = h.level;
-      total_entries = h.total_entries;
-      node.entries.reserve(h.total_entries);
-    } else if (h.level != node.level || h.total_entries != total_entries) {
-      return CorruptionError(
-          what + ": header fields differ across node pages");
+      lo[static_cast<size_t>(c)] = l;
+      hi[static_cast<size_t>(c)] = u;
     }
-    if (h.entry_count > per_page ||
-        (seq + 1 < span && h.entry_count != per_page)) {
-      return CorruptionError(what + ": bad per-page entry count");
+    rstar::Entry e;
+    e.mbr = geometry::Rect(geometry::Point::FromVector(std::move(lo)),
+                           geometry::Point::FromVector(std::move(hi)));
+    if (node.IsLeaf()) {
+      e.object = GetU64(rec + 8 * dim);
+      e.count = 1;
+    } else {
+      e.child = GetU32(rec + 8 * dim);
+      e.count = GetU32(rec + 8 * dim + 4);
+      if (e.child == rstar::kInvalidPage) {
+        return CorruptionError(what + ": invalid child pointer in entry " +
+                               std::to_string(i));
+      }
     }
-
-    const uint8_t* rec = page + kPageHeaderBytes;
-    for (uint32_t i = 0; i < h.entry_count; ++i, rec += record_bytes) {
-      std::vector<geometry::Coord> lo(static_cast<size_t>(dim));
-      std::vector<geometry::Coord> hi(static_cast<size_t>(dim));
-      for (int c = 0; c < dim; ++c) {
-        lo[static_cast<size_t>(c)] = GetF32(rec + 4 * c);
-        hi[static_cast<size_t>(c)] = GetF32(rec + 4 * (dim + c));
-      }
-      for (int c = 0; c < dim; ++c) {
-        const float l = lo[static_cast<size_t>(c)];
-        const float u = hi[static_cast<size_t>(c)];
-        if (std::isnan(l) || std::isnan(u) || l > u) {
-          return CorruptionError(what + ": invalid MBR in entry " +
-                                 std::to_string(node.entries.size()));
-        }
-      }
-      rstar::Entry e;
-      e.mbr = geometry::Rect(geometry::Point::FromVector(std::move(lo)),
-                             geometry::Point::FromVector(std::move(hi)));
-      const uint64_t ref = GetU64(rec + 8 * dim);
-      e.count = GetU32(rec + 8 * dim + 8);
-      if (node.IsLeaf()) {
-        e.object = ref;
-      } else {
-        if (ref >= rstar::kInvalidPage) {
-          return CorruptionError(what + ": child pointer " +
-                                 std::to_string(ref) +
-                                 " out of PageId range");
-        }
-        e.child = static_cast<rstar::PageId>(ref);
-      }
-      node.entries.push_back(std::move(e));
-    }
+    node.entries.push_back(std::move(e));
   }
-
-  const PageHeader first = ReadPageHeader(data);
-  if (node.entries.size() != first.total_entries) {
-    return CorruptionError(
-        what + ": entry count mismatch (header says " +
-        std::to_string(first.total_entries) + ", decoded " +
-        std::to_string(node.entries.size()) + ")");
+  // EncodeNode zero-fills past the last record; anything else there means
+  // the header's entry count does not describe this page.
+  for (const uint8_t* end = page + page_size; rec < end; ++rec) {
+    if (*rec != 0) {
+      return CorruptionError(what + ": bytes past entry " +
+                             std::to_string(h.entry_count) + " are not zero");
+    }
   }
   return node;
 }

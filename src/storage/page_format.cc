@@ -73,10 +73,6 @@ void WritePageHeader(const PageHeader& h, uint8_t* page) {
   PutU32(page + 8, 0);  // checksum; stamped by SealPage
   PutU32(page + 12, h.page_id);
   PutU32(page + 16, h.entry_count);
-  PutU32(page + 20, h.total_entries);
-  PutU16(page + 24, h.span);
-  PutU16(page + 26, h.seq);
-  std::memset(page + 28, 0, kPageHeaderBytes - 28);
 }
 
 void SealPage(uint8_t* page, size_t page_size) {
@@ -122,9 +118,6 @@ PageHeader ReadPageHeader(const uint8_t* page) {
   h.level = page[7];
   h.page_id = GetU32(page + 12);
   h.entry_count = GetU32(page + 16);
-  h.total_entries = GetU32(page + 20);
-  h.span = GetU16(page + 24);
-  h.seq = GetU16(page + 26);
   return h;
 }
 

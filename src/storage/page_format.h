@@ -1,7 +1,7 @@
 // On-disk page format shared by every persistent structure (docs/STORAGE.md).
 //
 // All multi-byte fields are little-endian regardless of host byte order.
-// Every page starts with a fixed 40-byte header carrying a magic number,
+// Every page starts with a fixed 20-byte header carrying a magic number,
 // the format version, the page type and a CRC32C checksum computed over
 // the whole page (with the checksum field itself zeroed). Readers verify
 // magic, version and checksum before interpreting a single payload byte,
@@ -22,30 +22,31 @@ namespace sqp::storage {
 // "SQPG" in ASCII; first four bytes of every page.
 inline constexpr uint32_t kPageMagic = 0x47505153;
 
-// Bumped whenever the page layout changes incompatibly. Readers reject any
-// other version with a clear error (no silent reinterpretation).
-inline constexpr uint16_t kFormatVersion = 1;
+// Bumped whenever the page or WAL record layout changes incompatibly.
+// Readers reject any other version with a clear error (no silent
+// reinterpretation). Version 2: one node per page, 8*dim + 8-byte records,
+// 20-byte header.
+inline constexpr uint16_t kFormatVersion = 2;
 
 enum class PageType : uint8_t {
-  kSuperblock = 1,        // per-disk-file metadata + index configuration
-  kDirectory = 2,         // page-id -> file-offset records for one disk
-  kNode = 3,              // first (or only) page of a serialized tree node
-  kNodeContinuation = 4,  // overflow pages of a multi-page node record
+  kSuperblock = 1,  // per-disk-file metadata + index configuration
+  kDirectory = 2,   // page-id -> file-offset records for one disk
+  kNode = 3,        // one serialized tree node
 };
 
 // Header layout (byte offsets within the page):
 //   0  u32 magic
 //   4  u16 format version
 //   6  u8  page type
-//   7  u8  node level (kNode/kNodeContinuation; 0 otherwise)
+//   7  u8  node level (kNode; 0 otherwise)
 //   8  u32 crc32c over the page with these four bytes zeroed
-//   12 u32 page id (tree PageId; 0 for superblock/directory pages)
-//   16 u32 entry count in this page (node entries / directory records)
-//   20 u32 total entries in the whole record (== entry count when span 1)
-//   24 u16 span: number of pages in this record
-//   26 u16 seq: index of this page within its record [0, span)
-//   28 12B reserved (zero)
-inline constexpr size_t kPageHeaderBytes = 40;
+//   12 u32 page id: the node's tree PageId, a directory page's position
+//          in its disk's directory, 0 for the superblock
+//   16 u32 entry count (node entries / directory records)
+// The header is no larger than the tree's own node-header allowance
+// (rstar::kNodeHeaderBytes), so a node of TreeConfig::MaxEntries() fits
+// one page whenever its records do (node_codec.h).
+inline constexpr size_t kPageHeaderBytes = 20;
 inline constexpr size_t kCrcFieldOffset = 8;
 
 struct PageHeader {
@@ -53,9 +54,6 @@ struct PageHeader {
   uint8_t level = 0;
   uint32_t page_id = 0;
   uint32_t entry_count = 0;
-  uint32_t total_entries = 0;
-  uint16_t span = 1;
-  uint16_t seq = 0;
 };
 
 // --- Little-endian primitives -------------------------------------------

@@ -8,7 +8,7 @@
 namespace sqp::storage {
 namespace {
 
-inline constexpr size_t kWalDeltaBytes = 29;
+inline constexpr size_t kWalDeltaBytes = 26;
 inline constexpr size_t kWalCommitFixedBytes = 16;
 
 // An upper bound no legitimate payload reaches (a commit touches a handful
@@ -37,10 +37,10 @@ std::vector<uint8_t> EncodeWalCommit(const WalCommit& commit) {
     PutU32(p + 0, d.page);
     PutI32(p + 4, d.loc.disk);
     PutU64(p + 8, d.loc.offset);
-    PutU32(p + 16, d.loc.span);
-    p[20] = d.loc.level;
-    PutI32(p + 21, d.loc.mirror);
-    PutU32(p + 25, d.loc.cylinder);
+    p[16] = d.loc.level;
+    PutI32(p + 17, d.loc.mirror);
+    PutU32(p + 21, d.loc.cylinder);
+    p[25] = d.loc.live ? 0 : 1;
     p += kWalDeltaBytes;
   }
   PutU32(rec.data() + 12, Crc32c(rec.data(), rec.size()));
@@ -59,16 +59,10 @@ common::Result<WalScanResult> ScanWal(const PageStore& store, int disk) {
     SQP_RETURN_IF_ERROR(
         store.ReadAt(disk, pos, header, kWalHeaderBytes));
     if (GetU32(header + 0) != kWalMagic) break;
-    if (GetU16(header + 4) != kFormatVersion) break;
     if (GetU16(header + 6) != kWalRecordCommit) break;
     const uint32_t payload_len = GetU32(header + 8);
     if (payload_len > kMaxPayloadBytes) break;
     if (pos + kWalHeaderBytes + payload_len > *size) break;
-    if (payload_len < kWalCommitFixedBytes ||
-        (payload_len - kWalCommitFixedBytes) % kWalDeltaBytes != 0) {
-      break;
-    }
-    if (GetU64(header + 16) != out.next_lsn) break;
 
     buf.resize(kWalHeaderBytes + payload_len);
     std::memcpy(buf.data(), header, kWalHeaderBytes);
@@ -78,6 +72,22 @@ common::Result<WalScanResult> ScanWal(const PageStore& store, int disk) {
     const uint32_t stored_crc = GetU32(buf.data() + 12);
     PutU32(buf.data() + 12, 0);
     if (Crc32c(buf.data(), buf.size()) != stored_crc) break;
+    // The framing (magic, type, length, CRC) is shared by every version,
+    // so a record that passed it was really written — by this build or
+    // another.
+    const uint16_t version = GetU16(header + 4);
+    if (version != kFormatVersion) {
+      return common::Status::InvalidArgument(
+          "WAL record at byte " + std::to_string(pos) +
+          ": unsupported format version " + std::to_string(version) +
+          " (this build reads version " + std::to_string(kFormatVersion) +
+          "; re-save the index with a matching build)");
+    }
+    if (payload_len < kWalCommitFixedBytes ||
+        (payload_len - kWalCommitFixedBytes) % kWalDeltaBytes != 0) {
+      break;
+    }
+    if (GetU64(header + 16) != out.next_lsn) break;
 
     const uint8_t* p = buf.data() + kWalHeaderBytes;
     WalCommit commit;
@@ -96,10 +106,10 @@ common::Result<WalScanResult> ScanWal(const PageStore& store, int disk) {
       d.page = GetU32(p + 0);
       d.loc.disk = GetI32(p + 4);
       d.loc.offset = GetU64(p + 8);
-      d.loc.span = GetU32(p + 16);
-      d.loc.level = p[20];
-      d.loc.mirror = GetI32(p + 21);
-      d.loc.cylinder = GetU32(p + 25);
+      d.loc.level = p[16];
+      d.loc.mirror = GetI32(p + 17);
+      d.loc.cylinder = GetU32(p + 21);
+      d.loc.live = p[25] == 0;
     }
     out.records.push_back(std::move(commit));
     pos += kWalHeaderBytes + payload_len;

@@ -3,7 +3,7 @@
 // The log is an append-only byte stream on one PageStore disk. Each record
 // describes one committed mutation against the base index image: the new
 // root, the new object count, and the physical page-map deltas (PageId ->
-// fresh copy-on-write location, or span 0 for a freed PageId). The record
+// fresh copy-on-write location, or a free marker). The record
 // is the unit of atomicity — node bytes are made durable *before* the
 // record is appended, so a record that scans as valid implies its pages
 // are readable, and a crash mid-append leaves a torn tail that the scanner
@@ -20,13 +20,17 @@
 //   0  u32 root PageId
 //   4  u64 object count after the op
 //   12 u32 delta count
-//   16 deltas, 29 bytes each:
-//      u32 page id, i32 disk, u64 byte offset, u32 span (0 = freed),
-//      u8 level, i32 mirror disk (-1 unmirrored), u32 cylinder
+//   16 deltas, 26 bytes each:
+//      u32 page id, i32 disk, u64 byte offset, u8 level,
+//      i32 mirror disk (-1 unmirrored), u32 cylinder,
+//      u8 free marker (1 = the PageId was freed, 0 = it lives at the
+//      location above)
 //
 // Why torn tails cannot be mistaken for records: the scanner accepts a
-// record only if magic, version, length bound, CRC *and* the exact next
-// LSN all hold. After recovery, new appends overwrite the dropped tail in
+// record only if magic, type, length bound, CRC *and* the exact next LSN
+// all hold. A CRC-valid record stamped with another format version was
+// written by another build; the scan refuses it with InvalidArgument
+// instead of dropping it as a torn tail or misreading its deltas. After recovery, new appends overwrite the dropped tail in
 // place; any stale remnant bytes beyond the new tail start mid-payload of
 // a dead record and fail the magic/CRC gate on the next scan.
 
@@ -47,8 +51,8 @@ inline constexpr uint32_t kWalMagic = 0x57505153;
 inline constexpr uint16_t kWalRecordCommit = 1;
 inline constexpr size_t kWalHeaderBytes = 24;
 
-// One page-map delta of a commit. span == 0 frees the PageId; otherwise
-// the PageId's current bytes live at `loc` (a fresh copy-on-write slot).
+// One page-map delta of a commit. !loc.live frees the PageId; otherwise
+// the PageId's current bytes live at `loc` (a fresh copy-on-write page).
 struct WalPageDelta {
   rstar::PageId page = rstar::kInvalidPage;
   PageLocation loc;
@@ -73,8 +77,9 @@ struct WalScanResult {
 // Stops at the first byte position that does not hold a complete, CRC-
 // valid record carrying the exact next LSN; anything from there on is the
 // torn tail of a crashed append (or its stale remnant) and is reported,
-// not returned. Only I/O errors fail the scan — a damaged tail is an
-// expected crash artifact, not corruption.
+// not returned. Only I/O errors and a record of another format version
+// fail the scan — a damaged tail is an expected crash artifact, not
+// corruption.
 common::Result<WalScanResult> ScanWal(const PageStore& store, int disk);
 
 // Appends commit records. Single-writer: the caller serializes appends

@@ -32,8 +32,9 @@ namespace {
 
 using parallel::DeclusterPolicy;
 
-constexpr size_t kPage = 1024;  // small pages -> multi-page records too
+constexpr size_t kPage = 1024;  // small pages: 41 records of 2-d entries
 constexpr int kDim = 2;
+const int kFull = static_cast<int>(storage::EntriesPerPage(kDim, kPage));
 
 rstar::Node MakeNode(rstar::PageId id, uint8_t level, int n_entries,
                      uint64_t seed) {
@@ -62,7 +63,7 @@ rstar::Node MakeNode(rstar::PageId id, uint8_t level, int n_entries,
   return node;
 }
 
-// Round-trips `node` and returns the encoded image.
+// Encodes `node` into its one-page image.
 std::vector<uint8_t> Encode(const rstar::Node& node) {
   std::vector<uint8_t> image;
   storage::EncodeNode(node, kDim, kPage, &image);
@@ -71,24 +72,23 @@ std::vector<uint8_t> Encode(const rstar::Node& node) {
 
 common::Result<rstar::Node> Decode(const std::vector<uint8_t>& image,
                                    rstar::PageId id) {
-  return storage::DecodeNode(image.data(),
-                             static_cast<uint32_t>(image.size() / kPage),
-                             kDim, kPage, id, "fuzzed record");
+  SQP_CHECK(image.size() == kPage);
+  return storage::DecodeNode(image.data(), kDim, kPage, id, "fuzzed page");
 }
 
 // --- Random mutations of valid node images --------------------------------
 
 TEST(CodecFuzzTest, RandomByteMutationsNeverCrashOrDecode) {
-  // A corpus mixing leaf/internal, single- and multi-page records.
+  // A corpus mixing leaf/internal, partly filled and full pages.
   std::vector<std::pair<rstar::PageId, std::vector<uint8_t>>> corpus;
   corpus.emplace_back(3, Encode(MakeNode(3, 0, 5, 1)));
   corpus.emplace_back(9, Encode(MakeNode(9, 2, 30, 2)));
-  corpus.emplace_back(11, Encode(MakeNode(11, 0, 60, 3)));   // span > 1
-  corpus.emplace_back(12, Encode(MakeNode(12, 1, 120, 4)));  // span > 2
-  corpus.emplace_back(1, Encode(MakeNode(1, 0, 0, 5)));      // empty node
+  corpus.emplace_back(11, Encode(MakeNode(11, 0, kFull, 3)));  // full leaf
+  corpus.emplace_back(12, Encode(MakeNode(12, 1, kFull, 4)));  // full internal
+  corpus.emplace_back(1, Encode(MakeNode(1, 0, 0, 5)));        // empty node
   for (const auto& [id, image] : corpus) {
     ASSERT_TRUE(Decode(image, id).ok());
-    ASSERT_EQ(image.size() % kPage, 0u);
+    ASSERT_EQ(image.size(), kPage);
   }
 
   common::Rng rng(20250806);
@@ -136,32 +136,41 @@ TEST(CodecFuzzTest, RandomByteMutationsNeverCrashOrDecode) {
 }
 
 TEST(CodecFuzzTest, TruncatedAndOversizedTailsAreRejected) {
-  const rstar::Node node = MakeNode(21, 0, 90, 6);  // multi-page record
+  const rstar::Node node = MakeNode(21, 0, kFull, 6);  // a full page
   const std::vector<uint8_t> image = Encode(node);
-  const uint32_t span = static_cast<uint32_t>(image.size() / kPage);
-  ASSERT_GE(span, 2u);
+  ASSERT_TRUE(Decode(image, 21).ok());
 
-  // Feeding a shorter span than the record's own header claims must fail
-  // cleanly (the header says "span pages" but only span-1 are provided —
-  // the decoder must not read past its input).
-  auto short_result = storage::DecodeNode(image.data(), span - 1, kDim,
-                                          kPage, 21, "truncated record");
-  EXPECT_FALSE(short_result.ok());
+  // A torn read: the page zeroed from a cut point on. The checksum fails
+  // whenever the cut zeroes a nonzero byte; written - 9 is the high byte
+  // of the last record's last coordinate.
+  const size_t written =
+      storage::kPageHeaderBytes + kFull * storage::EntryRecordBytes(kDim);
+  for (size_t cut : {written - 9, kPage / 2, storage::kPageHeaderBytes + 3,
+                     size_t{12}}) {
+    std::vector<uint8_t> torn = image;
+    std::memset(torn.data() + cut, 0, kPage - cut);
+    EXPECT_FALSE(Decode(torn, 21).ok()) << "cut at " << cut;
+  }
 
-  // Zeroed final page: checksum of that page fails.
-  std::vector<uint8_t> zero_tail = image;
-  std::memset(zero_tail.data() + (span - 1) * kPage, 0, kPage);
-  EXPECT_FALSE(Decode(zero_tail, 21).ok());
+  // A page swapped in from a different node.
+  EXPECT_FALSE(Decode(Encode(MakeNode(22, 0, kFull, 7)), 21).ok());
 
-  // Continuation page swapped in from a different record.
-  std::vector<uint8_t> foreign = image;
-  const std::vector<uint8_t> other = Encode(MakeNode(22, 0, 90, 7));
-  std::memcpy(foreign.data() + (span - 1) * kPage,
-              other.data() + (span - 1) * kPage, kPage);
-  EXPECT_FALSE(Decode(foreign, 21).ok());
-
-  // Wrong expected id: the record is valid but belongs to someone else.
+  // Wrong expected id: the page is valid but belongs to someone else.
   EXPECT_FALSE(Decode(image, 20).ok());
+
+  // An entry count one past the page's capacity, resealed: the records
+  // would run off the end of the page.
+  std::vector<uint8_t> oversized = image;
+  storage::PutU32(oversized.data() + 16, static_cast<uint32_t>(kFull) + 1);
+  storage::SealPage(oversized.data(), kPage);
+  EXPECT_FALSE(Decode(oversized, 21).ok());
+
+  // A lowered entry count, resealed: the records past it are not the zero
+  // fill the encoder leaves, so the page does not describe itself.
+  std::vector<uint8_t> short_count = image;
+  storage::PutU32(short_count.data() + 16, static_cast<uint32_t>(kFull) - 1);
+  storage::SealPage(short_count.data(), kPage);
+  EXPECT_FALSE(Decode(short_count, 21).ok());
 }
 
 // Forged-but-checksummed headers: reseal after each field edit so only the
@@ -170,23 +179,17 @@ TEST(CodecFuzzTest, TruncatedAndOversizedTailsAreRejected) {
 TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
   const rstar::Node node = MakeNode(33, 1, 40, 8);
   const std::vector<uint8_t> image = Encode(node);
-  const uint32_t span = static_cast<uint32_t>(image.size() / kPage);
-  ASSERT_GE(span, 2u);  // continuation-page chain checks must be in play
 
   struct Forgery {
     const char* name;
-    size_t offset;   // header byte offset within page 0
+    size_t offset;   // header byte offset
     uint32_t value;  // little-endian u32 to stomp in
   };
   const Forgery forgeries[] = {
-      // total_entries far beyond what `span` pages can carry: the bounds
-      // check must reject it BEFORE reserving memory for 4 billion
-      // entries.
-      {"huge total_entries", 20, 0xFFFFFFFFu},
+      // An entry count far beyond what the page can carry: the bounds
+      // check must reject it BEFORE reserving memory for it.
       {"entry_count beyond page capacity", 16, 0x00FFFFFFu},
-      {"zero span", 24, 0u},               // span+seq share this word
-      {"span larger than input", 24, 64u},
-      {"seq nonzero on first page", 24, span | (1u << 16)},
+      {"huge entry_count", 16, 0xFFFFFFFFu},
       {"foreign page id", 12, 0xDEADu},
   };
   for (const Forgery& f : forgeries) {
@@ -196,30 +199,34 @@ TEST(CodecFuzzTest, ResealedHeaderForgeriesAreRejected) {
     auto result = Decode(forged, 33);
     EXPECT_FALSE(result.ok()) << "forgery '" << f.name << "' was accepted";
   }
+  // Page types other than kNode, including the retired continuation-page
+  // type 4 of format version 1.
+  for (uint8_t type : {1, 2, 4, 0xFF}) {
+    std::vector<uint8_t> forged = image;
+    forged[6] = type;
+    storage::SealPage(forged.data(), kPage);
+    EXPECT_FALSE(Decode(forged, 33).ok()) << "page type " << int{type};
+  }
 
-  // Randomized header stomps, resealed: still must never crash or be
-  // accepted as some other record.
+  // Randomized header stomps, resealed: never a crash, and a page the
+  // decoder accepts must be exactly what its bytes say — re-encoding the
+  // decoded node reproduces the forged page bit for bit (a stomped level
+  // or checksum byte can survive; a misread cannot).
   common::Rng rng(44);
   for (int iter = 0; iter < 3000; ++iter) {
     std::vector<uint8_t> forged = image;
-    const int page = static_cast<int>(
-        rng.UniformInt(0, static_cast<int64_t>(span) - 1));
-    uint8_t* header = forged.data() + static_cast<size_t>(page) * kPage;
     const int n_stomps = static_cast<int>(rng.UniformInt(1, 3));
     for (int s = 0; s < n_stomps; ++s) {
-      // Stomp any semantic header field (type through seq, bytes [6, 28)),
-      // skipping magic/version so the page still looks like ours and
-      // reaches the semantic checks, and skipping the reserved tail bytes
-      // that no check can see. A CRC stomp is erased by the reseal.
-      const size_t off = 6 + static_cast<size_t>(rng.UniformInt(0, 21));
-      header[off] = static_cast<uint8_t>(rng.UniformInt(0, 255));
+      // Any header byte from the type on (bytes [6, 20)), skipping
+      // magic/version so the page still looks like ours and reaches the
+      // semantic checks. A CRC stomp is erased by the reseal.
+      const size_t off = 6 + static_cast<size_t>(rng.UniformInt(0, 13));
+      forged[off] = static_cast<uint8_t>(rng.UniformInt(0, 255));
     }
-    storage::SealPage(header, kPage);
+    storage::SealPage(forged.data(), kPage);
     auto result = Decode(forged, 33);
     if (result.ok()) {
-      // The stomps must have restored the original header bytes.
-      ASSERT_EQ(std::memcmp(forged.data(), image.data(), forged.size()), 0)
-          << "iteration " << iter;
+      ASSERT_EQ(Encode(*result), forged) << "iteration " << iter;
     }
   }
 }
@@ -325,7 +332,7 @@ TEST(IndexImageFuzzTest, ForgedDirectoryCountsAreBoundedNotTrusted) {
       {"superblock dir_page_count", 0, 68},
       {"superblock live_pages", 0, 80},
       // First directory page: header entry_count far beyond what one page
-      // of 20-byte records can carry.
+      // of 18-byte records can carry.
       {"directory entry_count", page_size, 16},
   };
   for (const Forgery& f : forgeries) {

@@ -65,7 +65,7 @@ TEST(PageCacheTest, MissThenHit) {
   ShardedPageCache cache(options);
 
   EXPECT_EQ(cache.LookupPinned(7), nullptr);
-  const exec::FlatNode* inserted = cache.InsertPinned(7, MakeNode(7, 3), 1);
+  const exec::FlatNode* inserted = cache.InsertPinned(7, MakeNode(7, 3));
   ASSERT_NE(inserted, nullptr);
   EXPECT_EQ(inserted->size(), 3u);
   cache.Unpin(7);
@@ -88,7 +88,7 @@ TEST(PageCacheTest, EvictsLruWithinCapacity) {
   ShardedPageCache cache(options);
 
   for (rstar::PageId id = 0; id < 8; ++id) {
-    cache.InsertPinned(id, MakeNode(id, 1), 1);
+    cache.InsertPinned(id, MakeNode(id, 1));
     cache.Unpin(id);
   }
   // Only the most recent 4 pages can be resident.
@@ -106,10 +106,10 @@ TEST(PageCacheTest, PinnedEntriesSurviveEviction) {
   options.shards = 1;
   ShardedPageCache cache(options);
 
-  const exec::FlatNode* pinned = cache.InsertPinned(100, MakeNode(100, 2), 1);
+  const exec::FlatNode* pinned = cache.InsertPinned(100, MakeNode(100, 2));
   // Flood far past capacity while 100 stays pinned.
   for (rstar::PageId id = 0; id < 20; ++id) {
-    cache.InsertPinned(id, MakeNode(id, 1), 1);
+    cache.InsertPinned(id, MakeNode(id, 1));
     cache.Unpin(id);
   }
   const exec::FlatNode* still = cache.LookupPinned(100);
@@ -119,25 +119,40 @@ TEST(PageCacheTest, PinnedEntriesSurviveEviction) {
 
   // Once unpinned it becomes evictable again.
   for (rstar::PageId id = 30; id < 40; ++id) {
-    cache.InsertPinned(id, MakeNode(id, 1), 1);
+    cache.InsertPinned(id, MakeNode(id, 1));
     cache.Unpin(id);
   }
   EXPECT_EQ(cache.LookupPinned(100), nullptr);
 }
 
-TEST(PageCacheTest, SpanAccountsSupernodes) {
+// One frame holds one node, which is one disk page: capacity counts
+// frames. That holds because an index whose tree may grow a multi-page
+// X-tree supernode is refused at save time, so no frame can stand for
+// more than one page.
+TEST(PageCacheTest, OneFrameIsOnePageBecauseSupernodesAreRefused) {
   PageCacheOptions options;
-  options.capacity_pages = 6;
+  options.capacity_pages = 2;
   options.shards = 1;
   ShardedPageCache cache(options);
-  cache.InsertPinned(1, MakeNode(1, 1), 4);
-  cache.Unpin(1);
-  cache.InsertPinned(2, MakeNode(2, 1), 4);
-  cache.Unpin(2);
-  // Both spans cannot fit in 6 pages; the older record was evicted.
-  const exec::PageCacheStats stats = cache.GetStats();
-  EXPECT_EQ(stats.resident_pages, 4u);
-  EXPECT_EQ(cache.LookupPinned(1), nullptr);
+  for (rstar::PageId id = 1; id <= 3; ++id) {
+    cache.InsertPinned(id, MakeNode(id, 40));
+    cache.Unpin(id);
+  }
+  EXPECT_EQ(cache.GetStats().resident_pages, 2u);
+  EXPECT_EQ(cache.LookupPinned(1), nullptr);  // the oldest was evicted
+
+  const workload::Dataset data = workload::MakeUniform(600, 8, 17);
+  rstar::TreeConfig tree_config;
+  tree_config.dim = 8;
+  tree_config.page_size_bytes = 1024;
+  tree_config.allow_supernodes = true;
+  parallel::DeclusterConfig dc;
+  dc.num_disks = 3;
+  auto index = workload::BuildParallelIndex(data, tree_config, dc);
+  storage::MemPageStore store(3);
+  const common::Status saved = storage::SaveIndex(*index, &store);
+  EXPECT_EQ(saved.code(), common::StatusCode::kInvalidArgument) << saved;
+  EXPECT_NE(saved.message().find("supernode"), std::string::npos) << saved;
 }
 
 TEST(PageCacheTest, ZeroCapacityDisablesCaching) {
@@ -145,7 +160,7 @@ TEST(PageCacheTest, ZeroCapacityDisablesCaching) {
   options.capacity_pages = 0;
   options.shards = 4;
   ShardedPageCache cache(options);
-  cache.InsertPinned(5, MakeNode(5, 1), 1);
+  cache.InsertPinned(5, MakeNode(5, 1));
   cache.Unpin(5);
   EXPECT_EQ(cache.LookupPinned(5), nullptr);
 }
@@ -155,8 +170,8 @@ TEST(PageCacheTest, InsertRaceKeepsResidentCopy) {
   options.capacity_pages = 16;
   options.shards = 1;
   ShardedPageCache cache(options);
-  const exec::FlatNode* first = cache.InsertPinned(9, MakeNode(9, 2), 1);
-  const exec::FlatNode* second = cache.InsertPinned(9, MakeNode(9, 5), 1);
+  const exec::FlatNode* first = cache.InsertPinned(9, MakeNode(9, 2));
+  const exec::FlatNode* second = cache.InsertPinned(9, MakeNode(9, 5));
   EXPECT_EQ(first, second);
   EXPECT_EQ(second->size(), 2u);  // the resident copy won
   cache.Unpin(9);
@@ -181,7 +196,7 @@ TEST(PageCacheTest, ConcurrentPinUnpin) {
             static_cast<rstar::PageId>(rng.UniformInt(0, 127));
         const exec::FlatNode* node = cache.LookupPinned(id);
         if (node == nullptr) {
-          node = cache.InsertPinned(id, MakeNode(id, 2), 1);
+          node = cache.InsertPinned(id, MakeNode(id, 2));
         }
         ASSERT_NE(node, nullptr);
         ASSERT_EQ(node->size(), 2u);
@@ -327,24 +342,25 @@ TEST(DiskIoPoolTest, DestructorDrainsPendingJobs) {
 
 TEST(DiskIoPoolTest, SubmitBlocksUntilSpaceAndCountsBackpressure) {
   GatedStore store(1);
-  exec::DiskIoPoolOptions opts;
-  opts.max_queue_depth = 2;
-  DiskIoPool pool(&store, nullptr, opts);
+  // Every queued read lands in the one buffer: only the worker writes it,
+  // one batch at a time, and the test never reads it. Declared before the
+  // pool, whose destructor drains the queue into it.
+  std::vector<uint8_t> buf(GatedStore::kPage);
+  DiskIoPool pool(&store);
 
-  std::vector<std::vector<uint8_t>> bufs(
-      4, std::vector<uint8_t>(GatedStore::kPage));
   auto ignore = [](common::Status) {};
   store.Close(0);
-  pool.SubmitBatchRead(0, PageRead(0, bufs[0].data()), ignore);
+  pool.SubmitBatchRead(0, PageRead(0, buf.data()), ignore);
   store.AwaitEntered(0, 1);  // the worker is parked inside the first read
-  pool.SubmitBatchRead(0, PageRead(0, bufs[1].data()), ignore);
-  pool.SubmitBatchRead(0, PageRead(0, bufs[2].data()),
-                       ignore);  // queue now at capacity
+  for (size_t i = 0; i < exec::kIoQueueDepth; ++i) {
+    pool.SubmitBatchRead(0, PageRead(0, buf.data()), ignore);
+  }
+  EXPECT_EQ(pool.backpressure_waits(), 0u);  // queue now exactly at capacity
 
   std::atomic<bool> submitted{false};
   std::thread submitter([&] {
     // Must block until the worker drains a slot.
-    pool.SubmitBatchRead(0, PageRead(0, bufs[3].data()), ignore);
+    pool.SubmitBatchRead(0, PageRead(0, buf.data()), ignore);
     submitted.store(true);
   });
   // The stall is counted before the wait, so this poll is race-free.

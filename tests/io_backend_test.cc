@@ -14,8 +14,10 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -516,7 +518,7 @@ TEST(HotNeighborPlacementTest, SiblingGroupsAreContiguousPerDisk) {
     std::map<int, std::vector<const storage::PageLocation*>> by_disk;
     for (const rstar::Entry& e : n.entries) {
       const storage::PageLocation& loc = layout->pages[e.child];
-      ASSERT_GT(loc.span, 0u);
+      ASSERT_TRUE(loc.live);
       by_disk[loc.disk].push_back(&loc);
     }
     for (auto& [disk, locs] : by_disk) {
@@ -527,7 +529,7 @@ TEST(HotNeighborPlacementTest, SiblingGroupsAreContiguousPerDisk) {
                 });
       for (size_t i = 1; i < locs.size(); ++i) {
         EXPECT_EQ(locs[i]->offset,
-                  locs[i - 1]->offset + locs[i - 1]->span * page_size)
+                  locs[i - 1]->offset + page_size)
             << "parent " << id << " disk " << disk
             << ": sibling group torn apart";
       }
@@ -535,6 +537,78 @@ TEST(HotNeighborPlacementTest, SiblingGroupsAreContiguousPerDisk) {
     }
   }
   EXPECT_GT(groups_checked, 10u);  // the property was actually exercised
+}
+
+// A store that counts the merged runs it is asked to read: the physical
+// media accesses its batches cost.
+class RunCountingStore : public storage::MemPageStore {
+ public:
+  using MemPageStore::MemPageStore;
+
+  common::Status ReadPages(
+      std::span<const storage::ReadRequest> requests) const override {
+    runs_.fetch_add(storage::PlanReadRuns(requests).size());
+    return MemPageStore::ReadPages(requests);
+  }
+
+  uint64_t runs() const { return runs_.load(); }
+
+ private:
+  mutable std::atomic<uint64_t> runs_{0};
+};
+
+// The serial backend reads a batch with one ReadPages call, as a threads
+// worker does, so the store reads exactly the merged runs the reader
+// counts at plan time: two file-adjacent pages of one disk are one media
+// read on both sides of sqp_reader_media_reads_total.
+TEST(SerialIoBackendTest, BatchReadsWhatTheReaderCounts) {
+  auto index = BuildSmallIndex(91, 4, DeclusterPolicy::kProximityIndex,
+                               /*mirrored=*/false);
+  RunCountingStore store(4);
+  ASSERT_TRUE(storage::SaveIndex(*index, &store).ok());
+  auto reader = exec::StoredIndexReader::Open(&store);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const storage::IndexLayout& layout = (*reader)->layout();
+
+  // Two live pages of one disk, the second right behind the first.
+  std::map<std::pair<int, uint64_t>, rstar::PageId> at;
+  for (rstar::PageId id = 0; id < layout.pages.size(); ++id) {
+    if (layout.IsLive(id)) {
+      at[{layout.pages[id].disk, layout.pages[id].offset}] = id;
+    }
+  }
+  std::vector<rstar::PageId> ids;
+  for (const auto& [where, id] : at) {
+    auto next = at.find({where.first, where.second + layout.page_size});
+    if (next != at.end()) {
+      ids = {id, next->second};
+      break;
+    }
+  }
+  ASSERT_EQ(ids.size(), 2u);
+  const std::vector<storage::PageLocation> locs = {layout.pages[ids[0]],
+                                                   layout.pages[ids[1]]};
+
+  exec::ReadBatchPlan plan;
+  ASSERT_TRUE((*reader)->PlanBatchRead(ids, locs, &plan).ok());
+  EXPECT_EQ(plan.planned_media_reads, 1u);
+  const uint64_t runs_before = store.runs();
+  exec::SerialIoBackend serial(&store);
+  common::Status batch = common::Status::Unavailable("not run");
+  serial.SubmitBatchRead(locs[0].disk, plan.requests,
+                         [&batch](common::Status s) { batch = s; });
+  ASSERT_TRUE(batch.ok()) << batch;
+  EXPECT_EQ(store.runs() - runs_before, (*reader)->media_reads());
+  EXPECT_EQ((*reader)->media_reads(), 1u);
+
+  bool bytes_valid = false;
+  ASSERT_TRUE((*reader)->NoteBatchOutcome(batch, &bytes_valid, nullptr).ok());
+  ASSERT_TRUE(bytes_valid);
+  for (size_t n = 0; n < ids.size(); ++n) {
+    auto node = (*reader)->FinishNodeRecord(&plan, n, bytes_valid, nullptr);
+    ASSERT_TRUE(node.ok()) << node.status();
+    EXPECT_EQ(node->entries.size(), index->tree().node(ids[n]).entries.size());
+  }
 }
 
 // The placement measurably reduces physical media accesses for the access

@@ -60,7 +60,6 @@ TEST(PageFormatTest, SealAndCheckRoundTrip) {
   h.level = 3;
   h.page_id = 17;
   h.entry_count = 5;
-  h.total_entries = 5;
   storage::WritePageHeader(h, page.data());
   storage::SealPage(page.data(), page.size());
 
@@ -170,35 +169,34 @@ TEST(NodeCodecTest, LeafRoundTrip) {
   std::vector<uint8_t> buf;
   storage::EncodeNode(leaf, 2, page_size, &buf);
   ASSERT_EQ(buf.size(), page_size);
-  auto back = storage::DecodeNode(buf.data(), 1, 2, page_size, 9, "leaf");
+  auto back = storage::DecodeNode(buf.data(), 2, page_size, 9, "leaf");
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectNodesEqual(leaf, *back);
 }
 
-TEST(NodeCodecTest, InternalMultiPageRoundTrip) {
+TEST(NodeCodecTest, FullInternalPageRoundTrip) {
   const size_t page_size = 512;
   const size_t per_page = storage::EntriesPerPage(3, page_size);
+  ASSERT_EQ(per_page, (page_size - storage::kPageHeaderBytes) / 32);
   Node internal;
   internal.id = 4;
   internal.level = 2;
-  const size_t n_entries = 3 * per_page + 5;  // forces a 4-page record
-  for (size_t i = 0; i < n_entries; ++i) {
+  for (size_t i = 0; i < per_page; ++i) {
     geometry::Point lo{0.1 * (i % 7), 0.2, 0.3};
     geometry::Point hi{0.1 * (i % 7) + 0.05, 0.4, 0.9};
     internal.entries.push_back(Entry::ForChild(
         geometry::Rect(lo, hi), static_cast<PageId>(100 + i), 11 + i));
   }
-  ASSERT_EQ(storage::NodeSpan(internal, 3, page_size), 4u);
 
   std::vector<uint8_t> buf;
   storage::EncodeNode(internal, 3, page_size, &buf);
-  ASSERT_EQ(buf.size(), 4 * page_size);
-  auto back = storage::DecodeNode(buf.data(), 4, 3, page_size, 4, "node");
+  ASSERT_EQ(buf.size(), page_size);
+  auto back = storage::DecodeNode(buf.data(), 3, page_size, 4, "node");
   ASSERT_TRUE(back.ok()) << back.status();
   ExpectNodesEqual(internal, *back);
 
-  // A record read back under the wrong page id is rejected.
-  auto wrong = storage::DecodeNode(buf.data(), 4, 3, page_size, 5, "node");
+  // A page read back under the wrong page id is rejected.
+  auto wrong = storage::DecodeNode(buf.data(), 3, page_size, 5, "node");
   EXPECT_TRUE(storage::IsCorruption(wrong.status()));
 }
 
@@ -208,7 +206,7 @@ TEST(NodeCodecTest, EmptyNodeRoundTrip) {
   empty.level = 0;
   std::vector<uint8_t> buf;
   storage::EncodeNode(empty, 2, 512, &buf);
-  auto back = storage::DecodeNode(buf.data(), 1, 2, 512, 0, "empty");
+  auto back = storage::DecodeNode(buf.data(), 2, 512, 0, "empty");
   ASSERT_TRUE(back.ok()) << back.status();
   EXPECT_TRUE(back->entries.empty());
 }
@@ -292,7 +290,7 @@ TEST(IndexIoTest, BulkLoaded16DiskRoundTripIsExact) {
   const workload::Dataset data =
       workload::MakeClustered(5000, 2, 12, 0.1, 1998);
   TreeConfig tcfg;
-  tcfg.dim = 2;  // default 4 KB pages: full nodes span 2 storage pages
+  tcfg.dim = 2;  // default 4 KB pages: 169-entry nodes, one page each
   DeclusterConfig dcfg;
   dcfg.num_disks = 16;
   auto original = std::make_unique<ParallelRStarTree>(tcfg, dcfg);

@@ -29,14 +29,14 @@ WalCommit MakeCommit(rstar::PageId root, uint64_t objects) {
   moved.page = root;
   moved.loc.disk = 2;
   moved.loc.offset = 8192;
-  moved.loc.span = 3;
+  moved.loc.live = true;
   moved.loc.level = 1;
   moved.loc.mirror = 4;
   moved.loc.cylinder = 17;
   c.deltas.push_back(moved);
   WalPageDelta freed;
   freed.page = root + 1;
-  // loc stays default: span == 0 frees the page.
+  // loc stays default: !live frees the page.
   c.deltas.push_back(freed);
   return c;
 }
@@ -77,12 +77,12 @@ TEST(WalTest, AppendAndScanRoundTrip) {
     EXPECT_EQ(r.deltas[0].page, r.root);
     EXPECT_EQ(loc.disk, 2);
     EXPECT_EQ(loc.offset, 8192u);
-    EXPECT_EQ(loc.span, 3u);
+    EXPECT_TRUE(loc.live);
     EXPECT_EQ(loc.level, 1);
     EXPECT_EQ(loc.mirror, 4);
     EXPECT_EQ(loc.cylinder, 17u);
     EXPECT_EQ(r.deltas[1].page, r.root + 1);
-    EXPECT_EQ(r.deltas[1].loc.span, 0u);  // freed
+    EXPECT_FALSE(r.deltas[1].loc.live);  // freed
   }
 }
 
@@ -186,7 +186,7 @@ TEST(WalTest, AppendAfterRecoveryBuriesTheTornTail) {
   d.page = 3;
   d.loc.disk = 0;
   d.loc.offset = 0;
-  d.loc.span = 1;
+  d.loc.live = true;
   small.deltas.push_back(d);
   ASSERT_TRUE(recovered.AppendCommit(&small).ok());
 
